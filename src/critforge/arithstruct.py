@@ -7,12 +7,14 @@ is the special case r identically 1, d the degree map.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from math import gcd
 from typing import Mapping
 
 from .exactlinalg import AbelianGroup, IntegerMatrix, smith_normal_form
 from .graphcore import Graph, Tree, UnknownVertex, fresh_name
+from .treedecomp import InternalInconsistency
 
 
 class ArithStructError(Exception):
@@ -64,6 +66,20 @@ def _require_values(g: Graph, values: Mapping[str, int], label: str) -> None:
             raise MissingVertexValue(f"no {label} value for vertex {v}")
 
 
+def _decimal(x: int) -> str:
+    """``str(x)``, or its bit length when x has more decimal digits than
+    the interpreter converts, so a diagnostic never fails to format."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<{x.bit_length()}-bit integer>"
+
+
+def _neighbor_sum(g: Graph, v: str, r: Mapping[str, int]) -> int:
+    """The sum of r over the neighbors of v, with edge multiplicity."""
+    return sum(g.multiplicity(v, w) * r[w] for w in g.neighbors(v))
+
+
 def validate(g: Graph, d: Mapping[str, int], r: Mapping[str, int]) -> tuple[bool, list[str]]:
     """Check the pair (d, r) against the structure conditions.
 
@@ -75,19 +91,18 @@ def validate(g: Graph, d: Mapping[str, int], r: Mapping[str, int]) -> tuple[bool
     problems = []
     for v in g.vertices:
         if r[v] < 1:
-            problems.append(f"r({v}) = {r[v]} is not positive")
+            problems.append(f"r({v}) = {_decimal(r[v])} is not positive")
         if d[v] < 0:
-            problems.append(f"d({v}) = {d[v]} is negative")
+            problems.append(f"d({v}) = {_decimal(d[v])} is negative")
     if not problems:
         if gcd(*(r[v] for v in g.vertices)) != 1:
             problems.append("gcd of r values exceeds 1")
-        rows = g.adjacency_rows()
-        for i, v in enumerate(g.vertices):
-            total = sum(mult * r[w] for w, mult in zip(g.vertices, rows[i]))
+        for v in g.vertices:
+            total = _neighbor_sum(g, v, r)
             if d[v] * r[v] != total:
                 problems.append(
-                    f"balance fails at {v}: d*r = {d[v] * r[v]}, "
-                    f"neighbor sum = {total}"
+                    f"balance fails at {v}: d*r = {_decimal(d[v] * r[v])}, "
+                    f"neighbor sum = {_decimal(total)}"
                 )
     return not problems, problems
 
@@ -104,20 +119,18 @@ def structure_from_r(g: Graph, r: Mapping[str, int]) -> ArithmeticalStructure:
     vals = {v: int(r[v]) for v in g.vertices}
     for v in g.vertices:
         if vals[v] < 1:
-            raise ArithStructError(f"r({v}) = {vals[v]} is not positive")
+            raise ArithStructError(f"r({v}) = {_decimal(vals[v])} is not positive")
     g0 = gcd(*vals.values())
     if g0 > 1:
         vals = {v: x // g0 for v, x in vals.items()}
-    rows = g.adjacency_rows()
     d = {}
-    for i, v in enumerate(g.vertices):
-        total = sum(
-            mult * vals[w] for w, mult in zip(g.vertices, rows[i]) if mult
-        )
+    for v in g.vertices:
+        total = _neighbor_sum(g, v, vals)
         q, rem = divmod(total, vals[v])
         if rem:
             raise DivisibilityViolation(
-                f"r({v}) = {vals[v]} does not divide its neighbor sum {total}"
+                f"r({v}) = {_decimal(vals[v])} does not divide its neighbor sum "
+                f"{_decimal(total)}"
             )
         d[v] = q
     if g.vertex_count > 1:
@@ -146,20 +159,113 @@ def laplacian(g: Graph, d: Mapping[str, int]) -> IntegerMatrix:
     )
 
 
-def critical_group(g: Graph, s: ArithmeticalStructure) -> AbelianGroup:
-    """Torsion of the cokernel of diag(d) - A, from its Smith form.
+def _sparse_laplacian(g: Graph, d: Mapping[str, int],
+                      ) -> tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]]:
+    """diag(d) - A as nonzero entries by row and, mirrored, by column,
+    indexed by canonical vertex position."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, dict[int, int]] = {i: {} for i in range(g.vertex_count)}
+    for i, v in enumerate(g.vertices):
+        row = {index[w]: -g.multiplicity(v, w) for w in g.neighbors(v)}
+        if d[v]:
+            row[i] = d[v]
+        rows[i] = row
+        for j, x in row.items():
+            cols[j][i] = x
+    return rows, cols
 
+
+def _unit_pivot_core(g: Graph, d: Mapping[str, int]) -> list[list[int]]:
+    """Eliminate +-1 entries of diag(d) - A and return what is left, dense.
+
+    Pivoting on a unit entry p at (i, j) replaces the matrix by [p] plus
+    its Schur complement on the other rows and columns, an integral and
+    unimodular step, so the Smith form of the returned core, padded with
+    ones, is that of the whole matrix.  Lines (rows and columns) are
+    taken fewest live entries first from a heap that is refreshed only
+    where a pivot changed a line; a tree's leaves come first, and its
+    matrix shrinks much as the tree does when its edges are contracted.
+    Within a line the unit whose crossing line is shortest is used,
+    which keeps the fill small.  At most n - 1 pivots are made, so the
+    core is at least 1 x 1.
+    """
+    rows, cols = _sparse_laplacian(g, d)
+    lines = (rows, cols)
+    heap = [(len(row), 0, i) for i, row in rows.items()]
+    heap += [(len(col), 1, j) for j, col in cols.items()]
+    heapq.heapify(heap)
+    budget = g.vertex_count - 1
+    while budget and heap:
+        count, kind, k = heapq.heappop(heap)
+        line = lines[kind].get(k)
+        if line is None or len(line) != count:
+            continue  # pivoted away, or superseded by a newer heap entry
+        cross = lines[1 - kind]
+        m = None
+        for at, x in line.items():
+            if (x == 1 or x == -1) and (m is None or len(cross[at]) < len(cross[m])):
+                m = at
+        if m is None:
+            continue  # pushed again if a pivot ever changes this line
+        i, j = (k, m) if kind == 0 else (m, k)
+        p = rows[i][j]
+        prow = rows.pop(i)
+        pcol = cols.pop(j)
+        del prow[j]
+        del pcol[i]
+        for c in prow:
+            del cols[c][i]
+        for r in pcol:
+            del rows[r][j]
+        for r, a in pcol.items():
+            f = a * p  # a / p, as p is +-1
+            row = rows[r]
+            for c, b in prow.items():
+                x = row.get(c, 0) - f * b
+                if x:
+                    row[c] = x
+                    cols[c][r] = x
+                else:
+                    row.pop(c, None)
+                    cols[c].pop(r, None)
+            heapq.heappush(heap, (len(row), 0, r))
+        for c in prow:
+            heapq.heappush(heap, (len(cols[c]), 1, c))
+        budget -= 1
+    live_cols = sorted(cols)
+    return [[rows[i].get(j, 0) for j in live_cols] for i in sorted(rows)]
+
+
+def critical_group(g: Graph, s: ArithmeticalStructure) -> AbelianGroup:
+    """Torsion of the cokernel of diag(d) - A.
+
+    Every +-1 entry of the matrix, such as the -1 of a simple edge, is a
+    unimodular pivot.  Such pivots are eliminated exactly on a sparse
+    copy of the matrix, and the Smith form of the small core left over
+    gives the group; on a tree that core usually has only a few rows.
     For a valid structure on a connected graph the kernel is spanned by
-    r, so exactly one diagonal entry of the Smith form vanishes.
+    r, so exactly one diagonal entry of the core's Smith form vanishes;
+    on a tree the order must also equal ``tree_order_formula``.  Both
+    are checked on every call.
     """
     ok, problems = validate(g, s.d, s.r)
     if not ok:
         raise ArithStructError(f"invalid structure: {problems[0]}")
-    diag = smith_normal_form(laplacian(g, s.d)).diagonal
+    core = IntegerMatrix(_unit_pivot_core(g, s.d))
+    diag = smith_normal_form(core).diagonal
     zeros = sum(1 for x in diag if x == 0)
     if zeros != 1:
         raise RankDefect(f"expected corank 1, found {zeros} zero entries")
-    return AbelianGroup(tuple(x for x in diag if x > 1))
+    group = AbelianGroup(tuple(x for x in diag if x > 1))
+    if g.is_tree:
+        expected = tree_order_formula(g, s.r)
+        if group.order != expected:
+            raise InternalInconsistency(
+                f"critical group order {_decimal(group.order)} != "
+                f"tree_order_formula {_decimal(expected)}"
+            )
+    return group
 
 
 def tree_order_formula(t: Tree, r: Mapping[str, int]) -> int:

@@ -53,7 +53,13 @@ class UsageError(Exception):
     """Malformed input or flags; maps to exit code 2."""
 
 
+class OutputTooLarge(Exception):
+    """A result integer has more digits than the interpreter will write
+    as text; maps to exit code 1."""
+
+
 DOMAIN_ERRORS = (
+    OutputTooLarge,
     GraphError,
     ArithStructError,
     ChipFiringError,
@@ -65,6 +71,17 @@ DOMAIN_ERRORS = (
 )
 
 
+# Input strings longer than this are echoed in messages as a prefix
+# plus their length.
+ECHO_CHARS = 32
+
+
+def _echo(text: str) -> str:
+    if len(text) <= ECHO_CHARS:
+        return repr(text)
+    return f"{text[:ECHO_CHARS]!r}... ({len(text)} characters)"
+
+
 def _as_int(value: Any, what: str) -> int:
     if isinstance(value, bool):
         raise UsageError(f"{what}: expected an integer, got {value!r}")
@@ -74,8 +91,43 @@ def _as_int(value: Any, what: str) -> int:
         try:
             return int(value, 10)
         except ValueError:
-            raise UsageError(f"{what}: {value!r} is not a decimal integer") from None
+            pass
+        digits = value.strip().lstrip("+-")
+        if digits.isascii() and digits.isdigit():
+            raise UsageError(
+                f"{what}: {_echo(value)} has {len(digits)} digits, more than "
+                f"the {sys.get_int_max_str_digits()} that can be read"
+            )
+        raise UsageError(f"{what}: {_echo(value)} is not a decimal integer")
     raise UsageError(f"{what}: expected an integer, got {value!r}")
+
+
+def _too_large() -> OutputTooLarge:
+    return OutputTooLarge(
+        f"a result has more than {sys.get_int_max_str_digits()} digits"
+    )
+
+
+def _decimal_out(x: int) -> str:
+    try:
+        return str(x)
+    except ValueError:
+        raise _too_large() from None
+
+
+def _load_json(text: str, what: str) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{what} is not valid JSON: {exc}") from None
+    except ValueError:
+        # the only other refusal: an integer past the digit limit
+        raise UsageError(
+            f"{what} holds an integer with more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
+    except RecursionError:
+        raise UsageError(f"{what} nests too deeply") from None
 
 
 def _read_text(path: str) -> str:
@@ -90,10 +142,7 @@ def _read_text(path: str) -> str:
 
 def parse_document(text: str) -> tuple[Graph, dict[str, int] | None, dict[str, int] | None]:
     """Parse a tree document into a graph plus optional r and d maps."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"document is not valid JSON: {exc}") from None
+    data = _load_json(text, "document")
     if not isinstance(data, dict):
         raise UsageError("document must be a JSON object")
     for key in ("vertices", "edges"):
@@ -169,22 +218,23 @@ def document_of(g: Graph, s: ArithmeticalStructure | None = None,
         ],
     }
     if s is not None:
-        doc["r"] = {v: str(s.r[v]) for v in g.vertices}
-        doc["d"] = {v: str(s.d[v]) for v in g.vertices}
+        doc["r"] = {v: _decimal_out(s.r[v]) for v in g.vertices}
+        doc["d"] = {v: _decimal_out(s.d[v]) for v in g.vertices}
     if extra:
         doc.update(extra)
     return doc
 
 
 def _emit(obj: Any) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True)
+    except ValueError:  # a plain integer in the output, such as a group order
+        raise _too_large() from None
+    sys.stdout.write(text + "\n")
 
 
 def _parse_chips(g: Graph, text: str, what: str) -> dict[str, int]:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{what} is not valid JSON: {exc}") from None
+    raw = _load_json(text, what)
     if not isinstance(raw, dict):
         raise UsageError(f"{what} must be a JSON map")
     out = {}
@@ -266,7 +316,7 @@ def cmd_divisor(ns: argparse.Namespace) -> int:
         _emit({
             "equivalent": witness is not None,
             "firing_vector": None if witness is None
-            else {v: str(x) for v, x in witness.items()},
+            else {v: _decimal_out(x) for v, x in witness.items()},
         })
     return 0
 
@@ -381,8 +431,8 @@ def cmd_enumerate(ns: argparse.Namespace) -> int:
         "count": len(structures),
         "structures": [
             {
-                "r": {v: str(s.r[v]) for v in t.vertices},
-                "d": {v: str(s.d[v]) for v in t.vertices},
+                "r": {v: _decimal_out(s.r[v]) for v in t.vertices},
+                "d": {v: _decimal_out(s.d[v]) for v in t.vertices},
             }
             for s in structures
         ],

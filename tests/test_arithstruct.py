@@ -1,25 +1,44 @@
 """Structures (d, r), their validation, and critical groups."""
 
+import random
+from itertools import product
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bruteforce import minor_gcd
-from corpus import all_trees, fixture_graph, fixture_tree, path_tree, star_tree
+from corpus import (
+    all_trees,
+    cycle_graph,
+    fixture_graph,
+    fixture_tree,
+    path_tree,
+    star_tree,
+    sweep_config,
+)
+from critforge import arithstruct
 from critforge import (
     AbelianGroup,
+    InternalInconsistency,
     ArithStructError,
     ArithmeticalStructure,
     DivisibilityViolation,
     EnumerationConfig,
     MissingVertexValue,
     NonIntegralOrder,
+    RankDefect,
     Tree,
     UnknownVertex,
+    broom_with_group,
+    build_graph,
+    build_tree,
     critical_group,
     enumerate_structures,
     extend_at,
     laplacian,
     laplacian_structure,
+    realize_on_subdivision,
     smith_normal_form,
     structure_from_r,
     tree_order_formula,
@@ -63,6 +82,18 @@ def test_validate_reports_the_first_offender():
     ok, problems = validate(t, {v: 1 for v in t.vertices}, {"p00": 0, "p01": 1, "p02": 1})
     assert not ok
     assert "not positive" in problems[0]
+
+
+def test_diagnostics_survive_integers_past_the_digit_limit():
+    # Products and sums of values under the int -> str limit can pass it.
+    big = 10 ** 3000
+    t = path_tree(2)
+    ok, problems = validate(t, {"p00": big, "p01": big}, {"p00": big, "p01": 1})
+    assert not ok
+    assert problems[0].startswith("balance fails at p00: d*r = <")
+    heavy = build_graph([("a", "b", big), ("b", "c", big)])
+    with pytest.raises(DivisibilityViolation, match=r"^r\(c\) = 3 .* sum <"):
+        structure_from_r(heavy, {"a": 1, "b": 10 ** 2000, "c": 3})
 
 
 def test_structure_from_r_divisibility_diagnostic():
@@ -168,3 +199,98 @@ def test_critical_group_refuses_invalid_structures():
     )
     with pytest.raises(ArithStructError):
         critical_group(t, bad)
+
+
+# Dense oracle for critical_group: the Smith form of the full matrix,
+# whose left * m * right == d re-check then runs at full size.
+
+
+def dense_group(g, s):
+    return AbelianGroup(smith_normal_form(laplacian(g, s.d)).invariant_factors)
+
+
+def structures_by_search(g, r_max):
+    """Every structure on g with r values up to r_max, by trying each r."""
+    out = []
+    for vals in product(range(1, r_max + 1), repeat=g.vertex_count):
+        try:
+            s = structure_from_r(g, dict(zip(g.vertices, vals)))
+        except ArithStructError:
+            continue
+        if s.r_vector() == vals:
+            out.append(s)
+    return out
+
+
+def test_critical_group_matches_the_dense_route_on_small_trees():
+    count = 0
+    for t in all_trees(6):
+        for s in enumerate_structures(t, sweep_config(t)):
+            assert critical_group(t, s) == dense_group(t, s)
+            count += 1
+    assert count > 1000
+
+
+def test_critical_group_matches_the_dense_route_off_trees():
+    g, r, d = fixture_graph("c4_example")
+    s = ArithmeticalStructure(graph=g, r=r, d=d)
+    assert critical_group(g, s) == dense_group(g, s) == AbelianGroup((2,))
+    doubled = build_graph([("a", "b", 2), ("b", "c"), ("c", "d"), ("b", "d")])
+    graphs = [cycle_graph(n) for n in range(3, 7)] + [doubled]
+    for g in graphs:
+        structures = structures_by_search(g, 4 if g.vertex_count <= 5 else 3)
+        assert len(structures) > 1
+        nontrivial = 0
+        for s in structures:
+            k = critical_group(g, s)
+            assert k == dense_group(g, s)
+            nontrivial += not k.is_trivial
+        assert nontrivial
+    # A cycle's Laplacian group is cyclic of order n, and a doubled edge
+    # is no unit pivot.
+    assert critical_group(cycle_graph(6), laplacian_structure(cycle_graph(6))) == (
+        AbelianGroup((6,)))
+    two = build_graph([("a", "b", 2)])
+    assert critical_group(two, laplacian_structure(two)) == AbelianGroup((2,))
+
+
+def test_critical_group_matches_the_dense_route_on_brooms():
+    for m in (2, 12, 60, 175):
+        tree, s = broom_with_group(AbelianGroup.cyclic(m), 1)
+        assert critical_group(tree, s) == dense_group(tree, s) == AbelianGroup((m,))
+
+
+def test_critical_group_matches_the_dense_route_on_large_realizations():
+    rng = random.Random(7)
+    cases = [(nx.from_prufer_sequence([rng.randrange(90) for _ in range(88)]),
+              AbelianGroup((2, 6)), 1),
+             (nx.from_prufer_sequence([rng.randrange(100) for _ in range(98)]),
+              AbelianGroup((3, 9)), 2)]
+    for g, target, beta in cases:
+        t = build_tree([(f"v{u:03d}", f"v{v:03d}") for u, v in g.edges()])
+        tree, s = realize_on_subdivision(t, target, beta)
+        assert tree.vertex_count >= 100
+        assert critical_group(tree, s) == dense_group(tree, s) == target
+
+
+def test_critical_group_of_a_2000_vertex_tree():
+    # Far past what the dense route finishes in a test run.
+    rng = random.Random(2000)
+    g = nx.from_prufer_sequence([rng.randrange(2000) for _ in range(1998)])
+    t = build_tree([(f"v{u:04d}", f"v{v:04d}") for u, v in g.edges()])
+    assert t.vertex_count == 2000
+    assert critical_group(t, laplacian_structure(t)).is_trivial
+
+
+def test_critical_group_checks_corank_and_tree_order(monkeypatch):
+    t = fixture_tree("fig3_broom")
+    _, r, _ = fixture_graph("fig3_broom")
+    s = structure_from_r(t, r)
+    assert critical_group(t, s).order == tree_order_formula(t, s.r) == 54
+    # Feed the checks a wrong core: they raise, not assert.
+    monkeypatch.setattr(arithstruct, "_unit_pivot_core", lambda g, d: [[3, 0], [0, 0]])
+    with pytest.raises(InternalInconsistency, match="tree_order_formula 54"):
+        critical_group(t, s)
+    monkeypatch.setattr(arithstruct, "_unit_pivot_core", lambda g, d: [[54, 0], [0, 1]])
+    with pytest.raises(RankDefect):
+        critical_group(t, s)

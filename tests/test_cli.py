@@ -5,9 +5,12 @@ exit code contract (0 ok, 1 domain failure, 2 bad usage), and that the
 emitted text is deterministic.
 """
 
+import contextlib
 import io
 import json
 import sys
+
+from hypothesis import given, settings, strategies as st
 
 from critforge.arithstruct import laplacian
 from critforge.cli import fixture_path, load_document, run
@@ -328,3 +331,139 @@ def test_help_exits_zero(capsys):
     code, out, _ = invoke(capsys, "--help")
     assert code == 0
     assert "usage" in out
+
+
+# Past the interpreter's 4300-digit limit on int <-> str conversion.
+HUGE = "1" + "0" * 5000
+
+
+def star_text(r_a):
+    """A two-leaf star document whose r value at ``a`` is the given JSON text."""
+    return ('{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]], '
+            '"r": {"a": %s, "b": 1, "c": 1}}' % r_a)
+
+
+def test_huge_json_number_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(star_text(HUGE)))
+    code, out, err = invoke(capsys, "group", "--input", "-")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: document holds an integer")
+    assert "Traceback" not in err
+
+
+def test_huge_string_value_is_echoed_truncated(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(star_text(f'"{HUGE}"')))
+    code, _, err = invoke(capsys, "group", "--input", "-")
+    assert code == 2
+    assert err.startswith("usage error: r[a]:")
+    assert "5001 digits" in err
+    assert len(err) < 200
+
+
+def test_long_garbage_value_is_echoed_truncated(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(star_text(f'"{"x" * 5000}"')))
+    code, _, err = invoke(capsys, "group", "--input", "-")
+    assert code == 2
+    assert "is not a decimal integer" in err
+    assert "5000 characters" in err
+    assert len(err) < 200
+
+
+def test_deeply_nested_json_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 100000 + "]" * 100000))
+    code, _, err = invoke(capsys, "group", "--input", "-")
+    assert code == 2
+    assert err.startswith("usage error:")
+
+
+def test_result_past_the_digit_limit_exits_one(capsys, monkeypatch, tmp_path):
+    # Two 3000-digit multi-edges in a path: the group order has about
+    # 6000 digits, more than can be written out.
+    m = "1" + "0" * 2999
+    text = ('{"vertices": ["a", "b", "c"], '
+            '"edges": [["a", "b", %s], ["b", "c", %s]], '
+            '"r": {"a": 1, "b": 1, "c": 1}}' % (m, m))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = invoke(capsys, "group", "--input", "-")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: a result has more than")
+
+    # Merged labellings are written as decimal strings; here d(a) = m^2.
+    left = tmp_path / "left.json"
+    left.write_text('{"vertices": ["a", "b"], "edges": [["a", "b", %s]], '
+                    '"r": {"a": "1", "b": "%s"}}' % (m, m), encoding="utf-8")
+    code, out, err = invoke(capsys, "merge", "--left", str(left),
+                            "--right", fixture_path("fig1_star3"),
+                            "--left-vertex", "b", "--right-vertex", "s0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: a result has more than")
+
+
+# Names and values for random documents.  A value is JSON text: small
+# numbers, numbers and strings under and past the digit limit, and
+# things that are not integers at all.
+FUZZ_NAMES = ("a", "b", "c", "d", "e")
+FUZZ_VALUES = st.one_of(
+    st.integers(-3, 60).map(str),
+    st.integers(-3, 60).map(lambda x: f'"{x}"'),
+    st.sampled_from(["1" + "0" * 2500, '"1' + "0" * 2500 + '"', "2" * 2500,
+                     HUGE, f'"{HUGE}"', "-" + HUGE, '"12a"', '""', "1.5",
+                     "true", "null", "[]", '{"x": 1}']),
+)
+
+
+@st.composite
+def fuzz_documents(draw):
+    names = draw(st.lists(st.sampled_from(FUZZ_NAMES), min_size=2, max_size=5,
+                          unique=True))
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+    # A spanning path, with an edge sometimes missing; extra pairs add
+    # cycles and multi-edges.
+    edges = [(u, v, None) for u, v in zip(names, names[1:])
+             if draw(st.integers(0, 9))]
+    for u, v in draw(st.lists(st.sampled_from(pairs), max_size=4)):
+        mult = draw(st.one_of(st.none(), st.sampled_from("123"), FUZZ_VALUES))
+        edges.append((u, v, mult))
+    ends = sorted({x for u, v, _ in edges for x in (u, v)})
+    vertices = ends if draw(st.integers(0, 9)) else draw(
+        st.lists(st.sampled_from(FUZZ_NAMES), max_size=5))
+    parts = ['"vertices": [%s]' % ", ".join(f'"{v}"' for v in vertices),
+             '"edges": [%s]' % ", ".join(
+                 f'["{u}", "{v}"]' if m is None else f'["{u}", "{v}", {m}]'
+                 for u, v, m in edges)]
+    for key, kinds in (("r", ["ones"] * 4 + ["absent", "empty", "partial", "full"]),
+                       ("d", ["absent"] * 4 + ["empty", "partial", "full"])):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "absent":
+            continue
+        keys = {"empty": [], "full": ends, "ones": ends,
+                "partial": ends[:draw(st.integers(0, len(ends)))]}[kind]
+        vals = ["1" if kind == "ones" else draw(FUZZ_VALUES) for _ in keys]
+        body = ", ".join(f'"{k}": {x}' for k, x in zip(keys, vals))
+        parts.append(f'"{key}": {{{body}}}')
+    return "{%s}" % ", ".join(parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_documents())
+def test_group_keeps_the_exit_contract_on_random_documents(text):
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["group", "--input", "-"])
+    finally:
+        sys.stdin = stdin
+    err = err.getvalue()
+    assert "Traceback" not in err
+    assert code in (0, 1, 2)
+    if code == 0:
+        got = json.loads(out.getvalue())
+        assert set(got) == {"invariant_factors", "order"}
+    else:
+        assert out.getvalue() == ""
+        assert err.startswith("usage error:" if code == 2 else "error:")
