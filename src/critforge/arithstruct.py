@@ -176,7 +176,10 @@ def _sparse_laplacian(g: Graph, d: Mapping[str, int],
     return rows, cols
 
 
-def _unit_pivot_core(g: Graph, d: Mapping[str, int]) -> list[list[int]]:
+_Pivot = tuple[int, int, int, dict[int, int], dict[int, int]]
+
+
+def _unit_pivot_core(g: Graph, d: Mapping[str, int], log: list[_Pivot] | None = None):
     """Eliminate +-1 entries of diag(d) - A and return what is left, dense.
 
     Pivoting on a unit entry p at (i, j) replaces the matrix by [p] plus
@@ -189,6 +192,17 @@ def _unit_pivot_core(g: Graph, d: Mapping[str, int]) -> list[list[int]]:
     Within a line the unit whose crossing line is shortest is used,
     which keeps the fill small.  At most n - 1 pivots are made, so the
     core is at least 1 x 1.
+
+    Given a ``log`` list, each pivot appends ``(i, j, p, prow, pcol)``:
+    the rest of pivot row i as {column: entry} and the rest of pivot
+    column j as {row: entry}, as they stood when the pivot was taken.
+    Row r then lost ``a * p`` times row i for each (r, a) in pcol, so
+    replaying that on a right-hand side b, in log order, reduces
+    ``L x = b`` to the core on the surviving lines plus one equation
+    ``p x[j] + sum(prow[c] x[c]) = b[i]`` per pivot, which determines
+    x[j] from lines pivoted later or kept in the core.  With a log the
+    return value is ``(core, live_rows, live_cols)``, the core's lines as
+    canonical vertex positions; without one it is the core alone.
     """
     rows, cols = _sparse_laplacian(g, d)
     lines = (rows, cols)
@@ -218,6 +232,8 @@ def _unit_pivot_core(g: Graph, d: Mapping[str, int]) -> list[list[int]]:
             del cols[c][i]
         for r in pcol:
             del rows[r][j]
+        if log is not None:
+            log.append((i, j, p, prow, pcol))
         for r, a in pcol.items():
             f = a * p  # a / p, as p is +-1
             row = rows[r]
@@ -233,8 +249,12 @@ def _unit_pivot_core(g: Graph, d: Mapping[str, int]) -> list[list[int]]:
         for c in prow:
             heapq.heappush(heap, (len(cols[c]), 1, c))
         budget -= 1
+    live_rows = sorted(rows)
     live_cols = sorted(cols)
-    return [[rows[i].get(j, 0) for j in live_cols] for i in sorted(rows)]
+    core = [[rows[i].get(j, 0) for j in live_cols] for i in live_rows]
+    if log is None:
+        return core
+    return core, live_rows, live_cols
 
 
 def critical_group(g: Graph, s: ArithmeticalStructure) -> AbelianGroup:

@@ -12,10 +12,10 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .arithstruct import ArithmeticalStructure, laplacian
-from .exactlinalg import determinantal_divisor, smith_normal_form, solve_integer
+from .arithstruct import ArithmeticalStructure, _require_values, _unit_pivot_core, laplacian
+from .exactlinalg import IntegerMatrix, determinantal_divisor, smith_normal_form, solve_integer
 from .graphcore import Graph, Tentacle, Tree, UnknownVertex, path_as_tentacle, tentacles
-from .treedecomp import StarlikeDecomposition
+from .treedecomp import InternalInconsistency, StarlikeDecomposition
 
 Divisor = dict[str, int]
 
@@ -64,40 +64,93 @@ def divisor_degree(delta: Mapping[str, int], r: Mapping[str, int]) -> int:
     return sum(int(r[v]) * int(c) for v, c in delta.items())
 
 
+def _core_system(g: Graph, d: Mapping[str, int], b: list[int]):
+    """Reduce ``L x = b``, L = diag(d) - A, to the unit-pivot core of L.
+
+    Replays the pivots' row operations on b in place and returns the
+    core as a matrix, its rows and columns as vertex positions, and the
+    pivot log that back-substitution needs (see ``_unit_pivot_core``).
+    """
+    _require_values(g, d, "d")
+    log: list = []
+    core, live_rows, live_cols = _unit_pivot_core(g, {v: int(d[v]) for v in g.vertices}, log)
+    for i, _, p, _, pcol in log:
+        bi = b[i]
+        if bi:
+            for r, a in pcol.items():
+                b[r] -= a * p * bi
+    return IntegerMatrix(core), live_rows, live_cols, log
+
+
+def _check_witness(g: Graph, d: Mapping[str, int], x: Mapping[str, int],
+                   rhs: Sequence[int]) -> None:
+    """Raise unless L x == rhs, summed over each vertex's neighbours."""
+    for v, want in zip(g.vertices, rhs):
+        got = int(d[v]) * x[v] - sum(g.multiplicity(v, w) * x[w] for w in g.neighbors(v))
+        if got != want:
+            raise InternalInconsistency(
+                f"firing vector moves {got} chips at {v}, not {want}"
+            )
+
+
 def equivalent(g: Graph, d: Mapping[str, int], d1: Mapping[str, int],
                d2: Mapping[str, int]) -> Divisor | None:
     """A firing vector taking d1 to d2, or None when they are inequivalent.
 
     The witness x satisfies d1 - L x = d2 entrywise, where L is the
-    structure matrix diag(d) - A.
+    structure matrix diag(d) - A.  The +-1 pivots of L are eliminated
+    as for ``critical_group``; only the small core left over is solved,
+    by ``solve_integer``, and the pivots are back-substituted in reverse
+    order.  Any integer solution is a valid witness, so which one is
+    returned is not part of the contract.  L x is checked against
+    d1 - d2 over each vertex's neighbours on every call.
     """
     a = full_divisor(g, d1)
     b = full_divisor(g, d2)
     rhs = [a[v] - b[v] for v in g.vertices]
-    x = solve_integer(laplacian(g, d), rhs)
-    if x is None:
+    reduced = list(rhs)
+    core, live_rows, live_cols, log = _core_system(g, d, reduced)
+    y = solve_integer(core, [reduced[i] for i in live_rows])
+    if y is None:
         return None
-    return {v: xi for v, xi in zip(g.vertices, x)}
+    x = [0] * g.vertex_count
+    for j, yj in zip(live_cols, y):
+        x[j] = yj
+    for i, j, p, prow, _ in reversed(log):
+        x[j] = p * (reduced[i] - sum(e * x[c] for c, e in prow.items()))
+    witness = dict(zip(g.vertices, x))
+    _check_witness(g, d, witness, rhs)
+    return witness
 
 
 def order_in_group(g: Graph, s: ArithmeticalStructure, delta: Mapping[str, int]) -> int:
-    """Order of a degree-zero divisor in the critical group."""
+    """Order of a degree-zero divisor in the critical group.
+
+    The critical group is the cokernel of the unit-pivot core of
+    diag(d) - A (see ``critical_group``), and the divisor's class is its
+    image under the pivots' row operations, restricted to the core's
+    rows.  The order is read off that image through the left transform
+    of the core's Smith form.
+    """
     out = full_divisor(g, delta)
     deg = divisor_degree(out, s.r)
     if deg != 0:
         raise NonzeroDegree(f"divisor has degree {deg}, not 0")
-    dec = smith_normal_form(laplacian(g, s.d))
-    c = dec.left.apply([out[v] for v in g.vertices])
-    n = g.vertex_count
+    b = [out[v] for v in g.vertices]
+    core, live_rows, _, _ = _core_system(g, s.d, b)
+    dec = smith_normal_form(core)
+    c = dec.left.apply([b[i] for i in live_rows])
     order = 1
-    for i in range(n):
-        di = dec.d.entry(i, i)
-        if di == 0:
+    for di, ci in zip(dec.diagonal, c):
+        if di:
+            order = lcm(order, di // gcd(di, ci))
+        elif ci:
             # the zero row of the Smith form pairs with the r vector,
             # so a degree-zero divisor always lands on zero here
-            assert c[i] == 0
-        else:
-            order = lcm(order, di // gcd(di, c[i]))
+            raise InternalInconsistency(
+                "a degree-zero divisor has a nonzero image on the kernel of "
+                "diag(d) - A; are d and r one structure?"
+            )
     return order
 
 
@@ -171,8 +224,10 @@ def clearable(g: Graph, d: Mapping[str, int], xs: Sequence[str],
         raise SizeViolation(
             f"{len(xs)} target vertices but only {len(ys)} firing sites"
         )
-    lap = laplacian(g, d)
-    block = lap.submatrix([g.index(v) for v in xs], [g.index(v) for v in ys])
+    _require_values(g, d, "d")
+    block = IntegerMatrix(
+        [[int(d[x]) if x == y else -g.multiplicity(x, y) for y in ys] for x in xs]
+    )
     return determinantal_divisor(block, len(xs)) == 1
 
 

@@ -1,11 +1,11 @@
 """Shared graphs, fixture loaders, and enumeration budgets for the tests."""
 
 import json
-from itertools import combinations
+from itertools import combinations, product
 
 import networkx as nx
 
-from critforge import EnumerationConfig, build_graph, build_tree
+from critforge import ArithStructError, EnumerationConfig, build_graph, build_tree, structure_from_r
 from critforge.cli import fixture_path
 
 # r-value search ceilings for the corpus sweeps, keyed by leaf count.
@@ -45,6 +45,19 @@ def all_trees(max_vertices, min_vertices=2):
             out.append(
                 build_tree([(f"n{u:02d}", f"n{v:02d}") for u, v in g.edges()])
             )
+    return out
+
+
+def structures_by_search(g, r_max):
+    """Every structure on g with r values up to r_max, by trying each r."""
+    out = []
+    for vals in product(range(1, r_max + 1), repeat=g.vertex_count):
+        try:
+            s = structure_from_r(g, dict(zip(g.vertices, vals)))
+        except ArithStructError:
+            continue
+        if s.r_vector() == vals:
+            out.append(s)
     return out
 
 

@@ -1,7 +1,6 @@
 """Structures (d, r), their validation, and critical groups."""
 
 import random
-from itertools import product
 
 import networkx as nx
 import pytest
@@ -15,6 +14,7 @@ from corpus import (
     fixture_tree,
     path_tree,
     star_tree,
+    structures_by_search,
     sweep_config,
 )
 from critforge import arithstruct
@@ -207,19 +207,6 @@ def test_critical_group_refuses_invalid_structures():
 
 def dense_group(g, s):
     return AbelianGroup(smith_normal_form(laplacian(g, s.d)).invariant_factors)
-
-
-def structures_by_search(g, r_max):
-    """Every structure on g with r values up to r_max, by trying each r."""
-    out = []
-    for vals in product(range(1, r_max + 1), repeat=g.vertex_count):
-        try:
-            s = structure_from_r(g, dict(zip(g.vertices, vals)))
-        except ArithStructError:
-            continue
-        if s.r_vector() == vals:
-            out.append(s)
-    return out
 
 
 def test_critical_group_matches_the_dense_route_on_small_trees():

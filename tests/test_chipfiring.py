@@ -2,7 +2,9 @@
 
 import itertools
 import random
+from math import gcd, lcm
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,23 +18,36 @@ from corpus import (
     running_example_tree,
     path_tree,
     star_tree,
+    structures_by_search,
+    sweep_config,
 )
+from critforge import arithstruct, chipfiring, exactlinalg
 from critforge import (
+    AbelianGroup,
     ArithmeticalStructure,
     ChipFiringError,
+    InternalInconsistency,
     NonzeroDegree,
     SizeViolation,
     Tentacle,
     UnknownVertex,
+    build_graph,
+    build_tree,
     clearable,
     divisor_degree,
+    enumerate_structures,
     equivalent,
     fire,
     full_divisor,
+    invariant_factor_bound,
+    iota,
     laplacian,
     laplacian_structure,
     order_in_group,
+    realize_on_subdivision,
     reduce_support,
+    smith_normal_form,
+    solve_integer,
     sweep_tentacle,
     starlike_decomposition,
     structure_from_r,
@@ -305,3 +320,193 @@ def test_clearable_agrees_with_minors_and_simulation():
                             pile = {v: (1 if v == x else 0) for v in verts}
                             final = fire_simulation(adj, d, pile, counts)
                             assert all(final[v] == 0 for v in xs)
+
+
+# Dense oracle for order_in_group and equivalent: the Smith form of the
+# full matrix, whose left * m * right == d re-check then runs at full
+# size.  The library solves only the unit-pivot core.
+
+
+def dense_order(g, s, delta):
+    dec = smith_normal_form(laplacian(g, s.d))
+    out = full_divisor(g, delta)
+    c = dec.left.apply([out[v] for v in g.vertices])
+    order = 1
+    for di, ci in zip(dec.diagonal, c):
+        if di:
+            order = lcm(order, di // gcd(di, ci))
+        else:
+            assert ci == 0
+    return order
+
+
+def dense_witness(g, d, d1, d2):
+    a = full_divisor(g, d1)
+    b = full_divisor(g, d2)
+    x = solve_integer(laplacian(g, d), [a[v] - b[v] for v in g.vertices])
+    return None if x is None else dict(zip(g.vertices, x))
+
+
+def degree_zero_divisor(rng, g, s, pairs=3):
+    """A sum of seeded multiples of r(v) e_u - r(u) e_v, so degree zero
+    on any structure."""
+    delta = {v: 0 for v in g.vertices}
+    for _ in range(pairs):
+        u, v = rng.sample(g.vertices, 2)
+        k = rng.choice((-3, -2, -1, 1, 2, 3))
+        delta[u] += k * s.r[v]
+        delta[v] -= k * s.r[u]
+    return delta
+
+
+def fired_at_random(rng, g, d, delta, count=3):
+    out = full_divisor(g, delta)
+    for v in rng.sample(g.vertices, min(count, g.vertex_count)):
+        out = fire(g, d, out, v, rng.choice((-2, -1, 1, 2)))
+    return out
+
+
+def replay(g, d, delta, x):
+    out = full_divisor(g, delta)
+    for v, times in x.items():
+        if times:
+            out = fire(g, d, out, v, times)
+    return out
+
+
+def check_against_dense(rng, g, s, delta):
+    """order_in_group and equivalent agree with the dense route, to zero
+    and to a divisor reached by firing; returns the order."""
+    assert divisor_degree(delta, s.r) == 0
+    order = order_in_group(g, s, delta)
+    assert order == dense_order(g, s, delta)
+    for target in ({}, fired_at_random(rng, g, s.d, delta)):
+        x = equivalent(g, s.d, delta, target)
+        assert (x is None) == (dense_witness(g, s.d, delta, target) is None)
+        if target == {}:
+            assert (x is None) == (order > 1)
+        else:
+            assert x is not None
+        if x is not None:
+            assert_witness(g, s.d, delta, target, x)
+            assert replay(g, s.d, delta, x) == full_divisor(g, target)
+    return order
+
+
+def random_name_tree(rng, n):
+    """A seeded Pruefer tree whose names do not follow its shape."""
+    g = nx.from_prufer_sequence([rng.randrange(n) for _ in range(n - 2)])
+    names = [f"{rng.choice('kqxz')}{k}" for k in rng.sample(range(10 ** 6), n)]
+    return build_tree([(names[u], names[v]) for u, v in g.edges()])
+
+
+def test_divisor_queries_match_the_dense_route_on_small_trees():
+    rng = random.Random(61)
+    count = nontrivial = 0
+    for t in all_trees(6):
+        for s in enumerate_structures(t, sweep_config(t)):
+            nontrivial += check_against_dense(rng, t, s, degree_zero_divisor(rng, t, s)) > 1
+            count += 1
+    assert count > 1000
+    assert nontrivial > 100
+
+
+def test_divisor_queries_match_the_dense_route_off_trees():
+    rng = random.Random(62)
+    g, r, d = fixture_graph("c4_example")
+    s = ArithmeticalStructure(graph=g, r=r, d=d)
+    assert check_against_dense(rng, g, s, C4_DELTA) == 2
+    doubled = build_graph([("a", "b", 2), ("b", "c"), ("c", "d"), ("b", "d")])
+    graphs = [cycle_graph(n) for n in range(3, 7)] + [doubled]
+    for g in graphs:
+        nontrivial = 0
+        for s in structures_by_search(g, 4 if g.vertex_count <= 5 else 3):
+            for _ in range(2):
+                nontrivial += check_against_dense(rng, g, s, degree_zero_divisor(rng, g, s)) > 1
+        assert nontrivial
+
+
+def test_divisor_queries_match_the_dense_route_on_random_name_trees():
+    rng = random.Random(63)
+    realized = nontrivial = 0
+    for n in range(10, 61, 5):
+        t = random_name_tree(rng, n)
+        structures = [laplacian_structure(t)]
+        chain = (2, 6) if invariant_factor_bound(t) >= 2 else (6,)
+        tree, s = realize_on_subdivision(t, AbelianGroup(chain), max(0, iota(t) - 2))
+        if tree.vertex_count <= 80:
+            structures.append(s)
+            realized += 1
+        for s in structures:
+            for _ in range(2):
+                g = s.graph
+                nontrivial += check_against_dense(rng, g, s, degree_zero_divisor(rng, g, s)) > 1
+    assert realized >= 6
+    assert nontrivial
+
+
+def test_equivalent_on_a_2000_vertex_tree():
+    # Far past what the dense route finishes in a test run.
+    rng = random.Random(2000)
+    t = random_name_tree(rng, 2000)
+    s = laplacian_structure(t)
+    delta = degree_zero_divisor(rng, t, s, pairs=20)
+    assert order_in_group(t, s, delta) == 1
+    x = equivalent(t, s.d, delta, {})
+    assert x is not None
+    for v in t.vertices:
+        moved = s.d[v] * x[v] - sum(x[w] for w in t.neighbors(v))
+        assert delta[v] - moved == 0
+    assert equivalent(t, s.d, delta, {t.vertices[0]: 1}) is None
+
+
+def test_divisor_queries_build_no_dense_laplacian(monkeypatch):
+    rng = random.Random(100)
+    t = random_name_tree(rng, 100)
+    s = laplacian_structure(t)
+    sides = []
+    smith = exactlinalg.smith_normal_form
+
+    def recording_smith(m):
+        sides.append(max(m.shape))
+        return smith(m)
+
+    def refuse(*args):
+        raise AssertionError("a divisor query built the dense n x n matrix")
+
+    for mod in (chipfiring, arithstruct):
+        monkeypatch.setattr(mod, "laplacian", refuse)
+    for mod in (chipfiring, exactlinalg):
+        monkeypatch.setattr(mod, "smith_normal_form", recording_smith)
+    delta = degree_zero_divisor(rng, t, s)
+    assert order_in_group(t, s, delta) == 1
+    assert equivalent(t, s.d, delta, {}) is not None
+    xs = rng.sample(t.vertices, 2)
+    clearable(t, s.d, xs, xs + rng.sample(t.vertices, 2))
+    assert len(sides) == 3
+    assert max(sides) <= 4
+
+
+def test_divisor_queries_raise_on_a_broken_elimination(monkeypatch):
+    g, s = c4()
+    real = arithstruct._unit_pivot_core
+
+    def bad_back_substitution(g, d, log=None):
+        out = real(g, d, log)
+        if log:
+            i, j, p, prow, pcol = log[-1]
+            log[-1] = (i, j, p, {c: e + 1 for c, e in prow.items()}, pcol)
+        return out
+
+    monkeypatch.setattr(chipfiring, "_unit_pivot_core", bad_back_substitution)
+    doubled = {v: 2 * x for v, x in C4_DELTA.items()}
+    with pytest.raises(InternalInconsistency, match="firing vector"):
+        equivalent(g, s.d, doubled, {})
+    # An r that is not the kernel of diag(d) - A leaves an r-degree-zero
+    # divisor with a nonzero image on the zero Smith row.
+    monkeypatch.setattr(chipfiring, "_unit_pivot_core", real)
+    t = path_tree(3)
+    off = ArithmeticalStructure(graph=t, r={"p00": 1, "p01": 2, "p02": 1},
+                                d=laplacian_structure(t).d)
+    with pytest.raises(InternalInconsistency, match="nonzero image"):
+        order_in_group(t, off, {"p00": 2, "p01": -1})

@@ -8,10 +8,12 @@ emitted text is deterministic.
 import contextlib
 import io
 import json
+import random
 import sys
 
 from hypothesis import given, settings, strategies as st
 
+from critforge import ArithmeticalStructure, extend_at, fire, full_divisor
 from critforge.arithstruct import laplacian
 from critforge.cli import fixture_path, load_document, run
 
@@ -116,6 +118,52 @@ def test_divisor_equivalence_and_witness(capsys):
     moved = laplacian(g, d).apply([x[v] for v in g.vertices])
     for i, v in enumerate(g.vertices):
         assert doubled.get(v, 0) - moved[i] == 0
+
+
+def test_divisor_order_text_on_the_cycle_fixture(capsys):
+    code, out, err = invoke(
+        capsys, "divisor", "--input", fixture_path("c4_example"),
+        "--chips", json.dumps(C4_DELTA), "--op", "order",
+    )
+    assert (code, out, err) == (0, '{\n  "order": 2\n}\n', "")
+
+
+def broom_grown_to(n, rng):
+    """The fig3_broom structure (group Z/3 + Z/18) with seeded leaves
+    attached until it has n vertices; extend_at keeps the group."""
+    g, r, d = load_document(fixture_path("fig3_broom"))
+    s = ArithmeticalStructure(graph=g, r=r, d=d)
+    while g.vertex_count < n:
+        g, s = extend_at(g, s, rng.choice(g.vertices))
+    return g, s
+
+
+def test_divisor_order_and_equivalence_on_a_300_vertex_tree(capsys, tmp_path):
+    g, s = broom_grown_to(300, random.Random(300))
+    path = write_doc(tmp_path, "grown.json", {
+        "vertices": list(g.vertices),
+        "edges": [[u, v] for u, v, _ in g.edges()],
+        "r": {v: str(x) for v, x in s.r.items()},
+    })
+    chips = {"v2": 1, "v9": -18}
+    got = invoke_ok(capsys, "divisor", "--input", path,
+                    "--chips", json.dumps(chips), "--op", "order")
+    assert got["order"] > 1
+    got = invoke_ok(capsys, "divisor", "--input", path, "--chips", json.dumps(chips),
+                    "--op", "equivalent", "--other", json.dumps({}))
+    assert got == {"equivalent": False, "firing_vector": None}
+
+    other = full_divisor(g, chips)
+    for v, times in (("v4", 2), (g.vertices[-1], -1), ("v0", 3)):
+        other = fire(g, s.d, other, v, times)
+    got = invoke_ok(capsys, "divisor", "--input", path, "--chips", json.dumps(chips),
+                    "--op", "equivalent", "--other", json.dumps(other))
+    assert got["equivalent"] is True
+    replay = full_divisor(g, chips)
+    for v, times in got["firing_vector"].items():
+        if int(times):
+            replay = fire(g, s.d, replay, v, int(times))
+    assert replay == other
 
 
 def test_decompose_lists_pieces(capsys):
