@@ -21,7 +21,7 @@ from .arithstruct import (
 )
 from .exactlinalg import AbelianGroup
 from .graphcore import Tentacle, Tree, build_tree, subdivide, tentacles
-from .mergestar import merge_structures, starlike_critical_group
+from .mergestar import merge_structures
 from .treedecomp import InternalInconsistency, iota, starlike_decomposition
 
 
@@ -87,7 +87,8 @@ def plan_broom(target: AbelianGroup, prongs: int) -> BroomPlan:
             tail.append(cur)
         tail = tuple(tail)
     for a, b in zip((center,) + tail, tail):
-        assert gcd(a, b) == 1
+        if gcd(a, b) != 1:
+            raise InternalInconsistency(f"tail values {a} and {b} are not coprime")
     return BroomPlan(
         target=target,
         center_value=center,
@@ -117,9 +118,11 @@ def broom_with_group(target: AbelianGroup, prongs: int) -> tuple[Tree, Arithmeti
     for name, val in zip(tail_names, plan.tail_values):
         r[name] = val
     s = structure_from_r(tree, r)
-    assert s.r == r, "broom labelling was not primitive"
-    got = starlike_critical_group(tree, s)
-    assert got == target, f"broom produced {got}, wanted {target}"
+    if s.r != r:
+        raise InternalInconsistency("broom labelling was not primitive")
+    got = critical_group(tree, s)
+    if got != target:
+        raise InternalInconsistency(f"broom produced {got}, wanted {target}")
     return tree, s
 
 
@@ -169,7 +172,8 @@ def _tail_spread(piece: Tree, ten: Tentacle, center: str,
         stretch.append(nxt)
         back, node = node, nxt
     full = list(ten.vertices[: a - 1]) + stretch
-    assert len(full) == b
+    if len(full) != b:
+        raise InternalInconsistency(f"tail stretch has {len(full)} vertices, not {b}")
     return grown, dict(zip(full, values))
 
 
@@ -177,7 +181,8 @@ def _realize_piece(piece: Tree, merge_leaf: str | None, target: AbelianGroup,
                    ) -> tuple[Tree, ArithmeticalStructure]:
     """Put a broom labelling onto one decomposition piece."""
     if piece.is_path:
-        assert target.is_trivial
+        if not target.is_trivial:
+            raise InternalInconsistency(f"path piece given the target {target}")
         return piece, laplacian_structure(piece)
     (center,) = piece.branch_vertices
     tens = tentacles(piece)
@@ -194,9 +199,11 @@ def _realize_piece(piece: Tree, merge_leaf: str | None, target: AbelianGroup,
     if merge_leaf is not None:
         r[merge_leaf] = plan.prong_values[-1]
     s = structure_from_r(grown, r)
-    assert s.r == r, "piece labelling was not primitive"
-    got = starlike_critical_group(grown, s)
-    assert got == target, f"piece produced {got}, wanted {target}"
+    if s.r != r:
+        raise InternalInconsistency("piece labelling was not primitive")
+    got = critical_group(grown, s)
+    if got != target:
+        raise InternalInconsistency(f"piece produced {got}, wanted {target}")
     return grown, s
 
 
@@ -243,11 +250,8 @@ def realize_on_subdivision(t: Tree, target: AbelianGroup, beta: int,
             )
         return t, laplacian_structure(t)
 
-    cur = t
-    while True:
-        cnt = iota(cur)
-        if cnt == beta:
-            break
+    cur, cnt = t, base_iota
+    while cnt != beta:
         # Separating a branch pair drops the count by at most one and
         # never raises it, and each pass removes one pair, so the loop
         # walks through beta exactly before the pairs run out.
@@ -257,7 +261,7 @@ def realize_on_subdivision(t: Tree, target: AbelianGroup, beta: int,
             raise InternalInconsistency(
                 f"separating one branch pair moved the count {cnt} -> {after}"
             )
-        cur = grown
+        cur, cnt = grown, after
 
     dec = starlike_decomposition(cur)
     caps = [max(len(p.leaves) - 2, 0) for p in dec.pieces]
@@ -270,7 +274,8 @@ def realize_on_subdivision(t: Tree, target: AbelianGroup, beta: int,
     remaining = caps[:]
     for f in sorted(factors, reverse=True):
         i = max(range(len(caps)), key=lambda j: (remaining[j], -j))
-        assert remaining[i] > 0
+        if remaining[i] <= 0:
+            raise InternalInconsistency("factor buckets overflowed the piece budgets")
         remaining[i] -= 1
         buckets[i].append(f)
     piece_targets = [AbelianGroup(tuple(sorted(b))) for b in buckets]
@@ -286,8 +291,7 @@ def realize_on_subdivision(t: Tree, target: AbelianGroup, beta: int,
             p_tree, dec.merge_leaf(i), p_struct,
         )
 
-    assert isinstance(acc_tree, Tree)
-    if not _suppress_fresh(acc_tree, t):
+    if not isinstance(acc_tree, Tree) or not _suppress_fresh(acc_tree, t):
         raise InternalInconsistency("result does not contract back onto the input tree")
     got_iota = iota(acc_tree)
     if got_iota != beta:

@@ -205,10 +205,15 @@ def _check_leaf_accounting(t: Tree, dec: StarlikeDecomposition) -> None:
 
 
 def iota(t: Tree) -> int:
-    """Number of irregular splittings in the canonical decomposition."""
+    """Number of irregular splittings in the canonical decomposition.
+
+    Read off the 2-matching DP in O(n), with no decomposition built:
+    leaves - 2 - iota and edges - nu2 are the same bound, so
+    iota = leaves - 2 - edges + nu2.
+    """
     if t.is_path or t.is_starlike:
         return 0
-    return starlike_decomposition(t).irregular_count
+    return len(t.leaves) - 2 - t.edge_count + two_matching_number(t)
 
 
 def two_matching_number(t: Tree) -> int:
@@ -250,20 +255,10 @@ def two_matching_number(t: Tree) -> int:
 def invariant_factor_bound(t: Tree) -> int:
     """Cap on how many invariant factors any structure on t can produce.
 
-    Two formulas agree: leaves - 2 - irregular splittings, and edges
-    minus the 2-matching number.  Both are computed and compared.
+    Edges minus the 2-matching number, which equals leaves - 2 minus
+    the irregular splittings of any starlike decomposition.
     """
-    leaves = len(t.leaves)
-    if t.is_path:
-        via_leaves = 0
-    else:
-        via_leaves = leaves - 2 - iota(t)
-    via_matching = t.edge_count - two_matching_number(t)
-    if via_leaves != via_matching:
-        raise InternalInconsistency(
-            f"bound mismatch: {via_leaves} by leaves, {via_matching} by matching"
-        )
-    return via_leaves
+    return t.edge_count - two_matching_number(t)
 
 
 def cyclic_classification(t: Tree) -> CyclicClass:

@@ -48,6 +48,13 @@ def all_trees(max_vertices, min_vertices=2):
     return out
 
 
+def random_name_tree(rng, n):
+    """A seeded Pruefer tree whose names do not follow its shape."""
+    g = nx.from_prufer_sequence([rng.randrange(n) for _ in range(n - 2)])
+    names = [f"{rng.choice('kqxz')}{k}" for k in rng.sample(range(10 ** 6), n)]
+    return build_tree([(names[u], names[v]) for u, v in g.edges()])
+
+
 def structures_by_search(g, r_max):
     """Every structure on g with r values up to r_max, by trying each r."""
     out = []

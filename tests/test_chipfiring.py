@@ -4,7 +4,6 @@ import itertools
 import random
 from math import gcd, lcm
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +16,7 @@ from corpus import (
     fixture_tree,
     running_example_tree,
     path_tree,
+    random_name_tree,
     star_tree,
     structures_by_search,
     sweep_config,
@@ -32,7 +32,6 @@ from critforge import (
     Tentacle,
     UnknownVertex,
     build_graph,
-    build_tree,
     clearable,
     divisor_degree,
     enumerate_structures,
@@ -391,13 +390,6 @@ def check_against_dense(rng, g, s, delta):
             assert_witness(g, s.d, delta, target, x)
             assert replay(g, s.d, delta, x) == full_divisor(g, target)
     return order
-
-
-def random_name_tree(rng, n):
-    """A seeded Pruefer tree whose names do not follow its shape."""
-    g = nx.from_prufer_sequence([rng.randrange(n) for _ in range(n - 2)])
-    names = [f"{rng.choice('kqxz')}{k}" for k in rng.sample(range(10 ** 6), n)]
-    return build_tree([(names[u], names[v]) for u, v in g.edges()])
 
 
 def test_divisor_queries_match_the_dense_route_on_small_trees():

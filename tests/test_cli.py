@@ -13,6 +13,7 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
+from corpus import random_name_tree
 from critforge import ArithmeticalStructure, extend_at, fire, full_divisor
 from critforge.arithstruct import laplacian
 from critforge.cli import fixture_path, load_document, run
@@ -200,6 +201,20 @@ def test_iota_and_nu2_reports(capsys):
     assert got == {"bound": 7, "iota": 3, "leaves": 12}
     got = invoke_ok(capsys, "nu2", "--input", fixture_path("fig4_tree"))
     assert got == {"bound": 7, "edges": 21, "nu2": 14}
+
+
+def test_iota_and_nu2_on_a_64000_vertex_tree(capsys, tmp_path):
+    t = random_name_tree(random.Random(64000), 64000)
+    path = write_doc(tmp_path, "big.json", {
+        "vertices": list(t.vertices),
+        "edges": [[u, v] for u, v, _ in t.edges()],
+    })
+    got = invoke_ok(capsys, "iota", "--input", path)
+    assert got["iota"] > 1000
+    assert got["bound"] == got["leaves"] - 2 - got["iota"]
+    nu = invoke_ok(capsys, "nu2", "--input", path)
+    assert nu["edges"] == 63999
+    assert got["bound"] == nu["bound"] == nu["edges"] - nu["nu2"]
 
 
 def test_merge_rebuilds_the_merged_fixture(capsys):

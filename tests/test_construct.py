@@ -1,15 +1,26 @@
 """Brooms and subdivision realizations hitting prescribed groups."""
 
+import ast
+import inspect
 import random
 from math import gcd
 
 import pytest
 
-from corpus import fixture_graph, fixture_tree, running_example_tree, path_tree, star_tree
+from corpus import (
+    fixture_graph,
+    fixture_tree,
+    running_example_tree,
+    path_tree,
+    random_name_tree,
+    star_tree,
+)
+from critforge import construct, treedecomp
 from critforge import (
     AbelianGroup,
     BetaOutOfRange,
     ConstructError,
+    InternalInconsistency,
     PathWithNontrivialTarget,
     TooManyFactors,
     broom_with_group,
@@ -19,6 +30,8 @@ from critforge import (
     plan_broom,
     realize_group,
     realize_on_subdivision,
+    starlike_critical_group,
+    starlike_decomposition,
 )
 
 
@@ -107,6 +120,7 @@ def test_subdivision_realization_on_a_star():
     assert t.vertex_count == 9
     assert critical_group(t, s) == AbelianGroup((2, 6))
     assert iota(t) == 0
+    assert starlike_decomposition(t).irregular_count == 0
     assert s.r["hub"] == 36
 
 
@@ -120,11 +134,13 @@ def test_subdivision_realization_on_the_cousins():
     ):
         out, s = realize_on_subdivision(t1, target, beta)
         assert iota(out) == beta
+        assert starlike_decomposition(out).irregular_count == beta
         assert critical_group(out, s) == target
 
     t2 = fixture_tree("t2")
     out, s = realize_on_subdivision(t2, AbelianGroup((5, 10)), 0)
     assert iota(out) == 0
+    assert starlike_decomposition(out).irregular_count == 0
     assert critical_group(out, s) == AbelianGroup((5, 10))
 
 
@@ -157,4 +173,75 @@ def test_subdivision_realization_on_the_worked_tree():
     target = AbelianGroup((2, 4, 4, 8))
     out, s = realize_on_subdivision(t, target, 0)
     assert iota(out) == 0
+    assert starlike_decomposition(out).irregular_count == 0
     assert critical_group(out, s) == target
+
+
+def test_realization_builds_one_decomposition(monkeypatch):
+    calls = []
+    real = treedecomp.starlike_decomposition
+
+    def counting(t, prefer="lowest"):
+        calls.append(t)
+        return real(t, prefer)
+
+    for mod in (treedecomp, construct):
+        monkeypatch.setattr(mod, "starlike_decomposition", counting)
+    t = random_name_tree(random.Random(100), 100)
+    base = iota(t)
+    assert base >= 3
+    assert calls == []
+    target = AbelianGroup((2, 6))
+    out, s = realize_on_subdivision(t, target, 0)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert starlike_decomposition(out).irregular_count == 0
+    assert critical_group(out, s) == target
+
+
+def test_quotient_route_sees_constructed_structures(monkeypatch):
+    for m in (2, 12, 60, 175):
+        target = AbelianGroup((m,))
+        tree, s = broom_with_group(target, 1)
+        assert starlike_critical_group(tree, s) == target
+
+    pieces = []
+    real = construct._realize_piece
+
+    def recording(piece, merge_leaf, target):
+        grown, s = real(piece, merge_leaf, target)
+        pieces.append((grown, s, target))
+        return grown, s
+
+    monkeypatch.setattr(construct, "_realize_piece", recording)
+    rng = random.Random(31)
+    for n in (20, 40, 60):
+        t = random_name_tree(rng, n)
+        realize_on_subdivision(t, AbelianGroup((2, 6, 12)), max(0, iota(t) - 2))
+    starlike = [(g, s, k) for g, s, k in pieces if g.is_starlike]
+    assert len(starlike) >= 6
+    assert any(not k.is_trivial for _, _, k in starlike)
+    for grown, s, target in starlike:
+        assert starlike_critical_group(grown, s) == target
+
+
+def wrong_group(g, s):
+    return AbelianGroup((999,))
+
+
+def test_a_wrong_broom_group_raises(monkeypatch):
+    monkeypatch.setattr(construct, "critical_group", wrong_group)
+    with pytest.raises(InternalInconsistency, match="broom produced"):
+        broom_with_group(AbelianGroup((6,)), 2)
+
+
+def test_a_wrong_piece_group_raises(monkeypatch):
+    monkeypatch.setattr(construct, "critical_group", wrong_group)
+    with pytest.raises(InternalInconsistency, match="piece produced"):
+        realize_on_subdivision(fixture_tree("t1"), AbelianGroup((2, 6)), 0)
+
+
+def test_construction_checks_survive_optimized_mode():
+    for mod in (construct, treedecomp):
+        tree = ast.parse(inspect.getsource(mod))
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))

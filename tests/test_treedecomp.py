@@ -1,5 +1,7 @@
 """Splitting trees into starlike pieces and the invariants that follow."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from corpus import (
     only_cyclic_shape,
     running_example_tree,
     path_tree,
+    random_name_tree,
     star_tree,
 )
 from critforge import (
@@ -146,6 +149,32 @@ def test_iota_bound_and_leaf_accounting(t):
         if not t.is_path:
             budget = sum(max(len(p.leaves) - 2, 0) for p in dec.pieces)
             assert budget == leaves - 2 - io
+
+
+def assert_iota_routes_agree(t):
+    """The DP iota against the decomposition, and the bound both ways."""
+    io = iota(t)
+    for prefer in ("lowest", "highest"):
+        assert starlike_decomposition(t, prefer=prefer).irregular_count == io
+    assert len(t.leaves) - 2 - io == t.edge_count - two_matching_number(t)
+
+
+def test_iota_matches_the_decomposition_on_every_small_shape():
+    shapes = all_trees(13)
+    assert len(shapes) == 2287
+    for t in shapes:
+        assert_iota_routes_agree(t)
+
+
+def test_iota_matches_the_decomposition_on_random_name_trees():
+    rng = random.Random(11)
+    irregular = 0
+    for n in range(10, 201, 5):
+        for _ in range(2):
+            t = random_name_tree(rng, n)
+            assert_iota_routes_agree(t)
+            irregular += iota(t) > 0
+    assert irregular >= 70
 
 
 @settings(max_examples=40, deadline=None)
