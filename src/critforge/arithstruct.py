@@ -133,8 +133,6 @@ def structure_from_r(g: Graph, r: Mapping[str, int]) -> ArithmeticalStructure:
                 f"{_decimal(total)}"
             )
         d[v] = q
-    if g.vertex_count > 1:
-        assert all(x >= 1 for x in d.values())
     return ArithmeticalStructure(graph=g, r=vals, d=d)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .arithstruct import ArithmeticalStructure, _require_values, _unit_pivot_core, laplacian
+from .arithstruct import ArithmeticalStructure, _require_values, _unit_pivot_core
 from .exactlinalg import IntegerMatrix, determinantal_divisor, smith_normal_form, solve_integer
 from .graphcore import Graph, Tentacle, Tree, UnknownVertex, path_as_tentacle, tentacles
 from .treedecomp import InternalInconsistency, StarlikeDecomposition
@@ -309,10 +309,7 @@ def reduce_support(t: Tree, d: Mapping[str, int], delta: Mapping[str, int],
                 allowed.add(ten.leaf)
 
     base = full_divisor(t, delta)
-    moved = laplacian(t, d).apply([fired[v] for v in t.vertices])
-    assert all(
-        base[v] - moved[i] == cur[v] for i, v in enumerate(t.vertices)
-    ), "firing vector does not reproduce the reduced divisor"
+    _check_witness(t, d, fired, [base[v] - cur[v] for v in t.vertices])
     budget = sum(max(len(p.leaves) - 2, 0) for p in decomposition.pieces) + 1
     support = [v for v in t.vertices if cur[v]]
     assert len(support) <= budget

@@ -42,7 +42,6 @@ from .graphcore import Graph, GraphError, Tree, build_graph
 from .mergestar import MergeStarError, check_merge_additivity, merge_structures
 from .treedecomp import (
     TreeDecompError,
-    invariant_factor_bound,
     iota,
     starlike_decomposition,
     two_matching_number,
@@ -350,11 +349,9 @@ def cmd_decompose(ns: argparse.Namespace) -> int:
 def cmd_iota(ns: argparse.Namespace) -> int:
     g, _, _ = load_document(ns.input)
     t = _need_tree(g)
-    _emit({
-        "iota": iota(t),
-        "leaves": len(t.leaves),
-        "bound": invariant_factor_bound(t),
-    })
+    io = iota(t)
+    leaves = len(t.leaves)
+    _emit({"iota": io, "leaves": leaves, "bound": leaves - 2 - io})
     return 0
 
 
@@ -413,9 +410,8 @@ def cmd_construct(ns: argparse.Namespace) -> int:
         if ns.beta is not None:
             raise UsageError("--beta needs --tree")
         tree, s = realize_group(target)
-    _emit(document_of(tree, s, extra={
-        "group": _group_json(critical_group(tree, s)),
-    }))
+    # every route has checked its group against the target already
+    _emit(document_of(tree, s, extra={"group": _group_json(target)}))
     return 0
 
 

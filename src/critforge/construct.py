@@ -145,7 +145,7 @@ def _lowest_branch_edge(t: Tree) -> tuple[str, str]:
     raise InternalInconsistency("no adjacent branch vertices left to separate")
 
 
-def _tail_spread(piece: Tree, ten: Tentacle, center: str,
+def _tail_spread(piece: Tree, ten: Tentacle,
                  values: tuple[int, ...]) -> tuple[Tree, dict[str, int]]:
     """Stretch a tentacle to carry the tail values, subdividing if short.
 
@@ -158,23 +158,12 @@ def _tail_spread(piece: Tree, ten: Tentacle, center: str,
     if b <= a:
         vals = values[: b - 1] + (1,) * (a - b + 1)
         return piece, dict(zip(ten.vertices, vals))
-    before_leaf = ten.vertices[-2] if a >= 2 else center
+    before_leaf = ten.vertices[-2] if a >= 2 else ten.attachment
     grown = subdivide(piece, (before_leaf, ten.leaf), b - a + 1)
-    fresh = set(grown.vertices) - set(piece.vertices)
-    # walk the subdivided stretch from the old neighbor out to the leaf
-    stretch = []
-    back, node = None, before_leaf
-    while node != ten.leaf:
-        (nxt,) = [
-            w for w in grown.neighbors(node)
-            if w != back and (w in fresh or w == ten.leaf)
-        ]
-        stretch.append(nxt)
-        back, node = node, nxt
-    full = list(ten.vertices[: a - 1]) + stretch
-    if len(full) != b:
-        raise InternalInconsistency(f"tail stretch has {len(full)} vertices, not {b}")
-    return grown, dict(zip(full, values))
+    stretched = [x.vertices for x in tentacles(grown) if x.leaf == ten.leaf]
+    if len(stretched) != 1 or len(stretched[0]) != b:
+        raise InternalInconsistency(f"stretched tail is not one tentacle of {b} vertices")
+    return grown, dict(zip(stretched[0], values))
 
 
 def _realize_piece(piece: Tree, merge_leaf: str | None, target: AbelianGroup,
@@ -191,7 +180,7 @@ def _realize_piece(piece: Tree, merge_leaf: str | None, target: AbelianGroup,
     plan = plan_broom(target, prongs)
     ordered = sorted(non_merge, key=lambda ten: (-ten.length, ten.vertices))
     tail_ten, prong_tens = ordered[0], ordered[1:]
-    grown, r = _tail_spread(piece, tail_ten, center, plan.tail_values)
+    grown, r = _tail_spread(piece, tail_ten, plan.tail_values)
     r[center] = plan.center_value
     for ten, val in zip(prong_tens, plan.prong_values):
         for v in ten.vertices:

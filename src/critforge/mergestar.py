@@ -25,6 +25,7 @@ from .exactlinalg import (
     quotient_strip,
 )
 from .graphcore import Graph, Tree, tentacles, wedge
+from .treedecomp import InternalInconsistency
 
 
 class MergeStarError(Exception):
@@ -43,7 +44,7 @@ def merge_structures(g1: Graph, x: str, s1: ArithmeticalStructure,
     The r labellings are cross-scaled so both sides agree at the glued
     vertex (kept under the name x); the d values add there and survive
     unchanged everywhere else.  The scaled labelling is automatically
-    primitive, which is asserted rather than renormalized.
+    primitive, which is checked rather than renormalized.
     """
     for g, s, label in ((g1, s1, "first"), (g2, s2, "second")):
         ok, bad = validate(g, s.d, s.r)
@@ -66,7 +67,8 @@ def merge_structures(g1: Graph, x: str, s1: ArithmeticalStructure,
     d[x] = s1.d[x] + s2.d[y]
     out = ArithmeticalStructure(graph=merged, r=r, d=d)
     ok, bad = validate(merged, out.d, out.r)
-    assert ok, f"merge produced an invalid structure: {bad[0]}"
+    if not ok:
+        raise InternalInconsistency(f"merge produced an invalid structure: {bad[0]}")
     return merged, out
 
 
@@ -79,7 +81,7 @@ def check_merge_additivity(g1: Graph, x: str, s1: ArithmeticalStructure,
     the merged group is their direct sum, which happens exactly when
     the glued r values are coprime.  The merged order always equals the
     product of the two orders times the square of the glued gcd; that
-    identity is asserted rather than reported.
+    identity is checked rather than reported.
     """
     merged, sm = merge_structures(g1, x, s1, g2, y, s2)
     k1 = critical_group(g1, s1)
@@ -87,9 +89,10 @@ def check_merge_additivity(g1: Graph, x: str, s1: ArithmeticalStructure,
     km = critical_group(merged, sm)
     g0 = gcd(s1.r[x], s2.r[y])
     additive = km == k1.direct_sum(k2)
-    if g0 == 1:
-        assert additive, "coprime merge must be additive"
-    assert km.order == k1.order * k2.order * g0 * g0, "merged order identity failed"
+    if g0 == 1 and not additive:
+        raise InternalInconsistency(f"coprime merge gave {km}, not {k1} + {k2}")
+    if km.order != k1.order * k2.order * g0 * g0:
+        raise InternalInconsistency("merged order identity failed")
     return k1, k2, km, additive
 
 
@@ -132,7 +135,8 @@ def starlike_summary(t: Tree, s: ArithmeticalStructure) -> StarlikeStructureSumm
     leaf_q = [e[0] for e in entries]
     first_q = [e[1] for e in entries]
     for a, b in zip(leaf_q, first_q):
-        assert gcd(a, b) == 1, "tentacle quotients must be coprime"
+        if gcd(a, b) != 1:
+            raise InternalInconsistency(f"tentacle quotients {a} and {b} are not coprime")
     return StarlikeStructureSummary(
         center=center,
         center_value=r0,
@@ -167,18 +171,12 @@ def starlike_critical_group(t: Tree, s: ArithmeticalStructure) -> AbelianGroup:
 
     The direct sum of cyclic groups of the leaf-quotient orders covers
     the group plus two extra copies of the center value; stripping them
-    recovers the group.  The full-matrix route is recomputed and both
-    answers are compared before returning.
+    recovers the group.  The tests compare this route with the
+    full-matrix ``critical_group``.
     """
     summary = starlike_summary(t, s)
     r0 = summary.center_value
     total = group_from_orders(summary.leaf_quotients)
     if r0 == 1:
-        out = total
-    else:
-        out = quotient_strip(total, group_from_orders([r0, r0]))
-    direct = critical_group(t, s)
-    assert out == direct, (
-        f"quotient route {out} disagrees with matrix route {direct}"
-    )
-    return out
+        return total
+    return quotient_strip(total, group_from_orders([r0, r0]))

@@ -1,9 +1,9 @@
 """Decomposing trees into starlike pieces, and the invariant factor bound.
 
 A starlike tree has exactly one branch vertex.  Any other non-path tree
-splits at a peripheral branch vertex: one all of whose incident subtrees
-except one are bare paths.  Splitting off that vertex with its path
-subtrees, plus a fresh merge leaf standing in for the rest of the tree,
+splits at a peripheral branch vertex: one all of whose neighbors except
+one start a tentacle.  Splitting off that vertex with its tentacles,
+plus a fresh merge leaf standing in for the rest of the tree,
 and repeating on the remainder, yields an ordered list of starlike
 pieces (the last piece may degenerate to a path).
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .graphcore import Graph, Tree, fresh_name, tentacles
+from .graphcore import Tentacle, Tree, fresh_name, tentacles
 
 
 class TreeDecompError(Exception):
@@ -34,8 +34,8 @@ class CyclicClass(enum.Enum):
 class StarlikeSplitting:
     """One split: a starlike piece cut off a larger tree.
 
-    ``piece`` contains the chosen branch vertex, its bare path subtrees,
-    and the fresh leaf ``merge_leaf`` standing in for the remainder.
+    ``piece`` contains the chosen branch vertex, its tentacles, and the
+    fresh leaf ``merge_leaf`` standing in for the remainder.
     ``target`` is the vertex of ``remainder`` the merge leaf represents.
     A splitting is regular when the target is a leaf of the remainder.
     """
@@ -77,44 +77,6 @@ class StarlikeDecomposition:
         return self.splittings[i].target
 
 
-def _bare_directions(t: Tree, c: str) -> dict[str, bool]:
-    """For each neighbor of c: does its subtree away from c avoid branches?"""
-    out = {}
-    for w in t.neighbors(c):
-        bare = True
-        prev, cur = c, w
-        while True:
-            if t.degree(cur) >= 3:
-                bare = False
-                break
-            if t.degree(cur) == 1:
-                break
-            (nxt,) = [z for z in t.neighbors(cur) if z != prev]
-            prev, cur = cur, nxt
-        out[w] = bare
-    return out
-
-
-def _peripheral_branch_vertex(t: Tree, prefer: str) -> tuple[str, str]:
-    """A branch vertex with at most one non-bare direction, and that direction.
-
-    ``prefer`` picks the lowest or highest identifier among candidates.
-    """
-    candidates = []
-    for c in t.branch_vertices:
-        dirs = _bare_directions(t, c)
-        nonbare = [w for w, bare in dirs.items() if not bare]
-        if len(nonbare) <= 1:
-            candidates.append((c, nonbare))
-    if not candidates:
-        raise InternalInconsistency("no peripheral branch vertex in a non-path tree")
-    candidates.sort(key=lambda item: item[0])
-    c, nonbare = candidates[0] if prefer == "lowest" else candidates[-1]
-    if not nonbare:
-        raise InternalInconsistency("peripheral vertex with no remainder direction")
-    return c, nonbare[0]
-
-
 def starlike_split(t: Tree, prefer: str = "lowest") -> StarlikeSplitting | None:
     """Split one starlike piece off a tree, or None if it is already a piece.
 
@@ -123,29 +85,26 @@ def starlike_split(t: Tree, prefer: str = "lowest") -> StarlikeSplitting | None:
     """
     if prefer not in ("lowest", "highest"):
         raise ValueError(f"prefer must be 'lowest' or 'highest', not {prefer!r}")
-    if t.is_path or t.is_starlike:
+    branch = t.branch_vertices
+    if len(branch) < 2:
         return None
-    c, toward_rest = _peripheral_branch_vertex(t, prefer)
-
-    # collect the piece: c plus every bare direction walked to its end
-    piece_vertices = {c}
-    for w in t.neighbors(c):
-        if w == toward_rest:
-            continue
-        prev, cur = c, w
-        while True:
-            piece_vertices.add(cur)
-            if t.degree(cur) == 1:
-                break
-            (nxt,) = [z for z in t.neighbors(cur) if z != prev]
-            prev, cur = cur, nxt
+    arms: dict[str, list[Tentacle]] = {}
+    for ten in tentacles(t):
+        arms.setdefault(ten.attachment, []).append(ten)
+    # with two or more branch vertices, a peripheral one has exactly one
+    # neighbor that does not start one of its tentacles
+    peripheral = [c for c in branch if t.degree(c) - len(arms.get(c, ())) == 1]
+    if not peripheral:
+        raise InternalInconsistency("no peripheral branch vertex in a non-path tree")
+    c = peripheral[0] if prefer == "lowest" else peripheral[-1]
+    piece_vertices = {c}.union(*(ten.vertices for ten in arms[c]))
+    (toward_rest,) = [w for w in t.neighbors(c) if w not in piece_vertices]
 
     merge_leaf = fresh_name(f"{c}*", t.vertices)
-    piece_adj: dict[str, dict[str, int]] = {v: {} for v in piece_vertices}
-    for v in piece_vertices:
-        for w in t.neighbors(v):
-            if w in piece_vertices:
-                piece_adj[v][w] = 1
+    piece_adj = {
+        v: {w: 1 for w in t.neighbors(v) if w in piece_vertices}
+        for v in piece_vertices
+    }
     piece_adj[c][merge_leaf] = 1
     piece_adj[merge_leaf] = {c: 1}
     piece = Tree(piece_adj)

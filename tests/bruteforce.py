@@ -140,3 +140,40 @@ def fire_simulation(adjacency, d, delta, counts):
         for u, mult in adjacency[v].items():
             out[u] += times * mult
     return out
+
+
+def peripheral_split(edges, prefer):
+    """The first split of a starlike decomposition, from its definition.
+
+    A branch vertex (degree at least 3) is peripheral when exactly one
+    component of the tree minus it holds a branch vertex.  Returns
+    (c, piece, target) for the lowest or highest peripheral c: piece is
+    c with every component free of branch vertices, and target is c's
+    neighbour in the other component.  None when no vertex qualifies,
+    which is the case on paths and starlike trees.
+    """
+    assert prefer in ("lowest", "highest")
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    branch = {v for v, nbrs in adj.items() if len(nbrs) >= 3}
+    candidates = []
+    for c in sorted(branch):
+        parts = {}
+        for w in adj[c]:
+            seen = {c, w}
+            stack = [w]
+            while stack:
+                for x in adj[stack.pop()] - seen:
+                    seen.add(x)
+                    stack.append(x)
+            parts[w] = seen - {c}
+        loaded = [w for w, part in parts.items() if part & branch]
+        if len(loaded) == 1:
+            candidates.append((c, parts, loaded[0]))
+    if not candidates:
+        return None
+    c, parts, target = candidates[0] if prefer == "lowest" else candidates[-1]
+    piece = {c}.union(*(part for w, part in parts.items() if w != target))
+    return c, piece, target

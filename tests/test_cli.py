@@ -14,7 +14,7 @@ import sys
 from hypothesis import given, settings, strategies as st
 
 from corpus import random_name_tree
-from critforge import ArithmeticalStructure, extend_at, fire, full_divisor
+from critforge import ArithmeticalStructure, extend_at, fire, full_divisor, treedecomp
 from critforge.arithstruct import laplacian
 from critforge.cli import fixture_path, load_document, run
 
@@ -201,6 +201,20 @@ def test_iota_and_nu2_reports(capsys):
     assert got == {"bound": 7, "iota": 3, "leaves": 12}
     got = invoke_ok(capsys, "nu2", "--input", fixture_path("fig4_tree"))
     assert got == {"bound": 7, "edges": 21, "nu2": 14}
+
+
+def test_iota_runs_the_two_matching_dp_once(capsys, monkeypatch):
+    calls = []
+    real = treedecomp.two_matching_number
+
+    def counting(t):
+        calls.append(t.vertex_count)
+        return real(t)
+
+    monkeypatch.setattr(treedecomp, "two_matching_number", counting)
+    got = invoke_ok(capsys, "iota", "--input", fixture_path("fig4_tree"))
+    assert got == {"bound": 7, "iota": 3, "leaves": 12}
+    assert calls == [22]
 
 
 def test_iota_and_nu2_on_a_64000_vertex_tree(capsys, tmp_path):

@@ -15,7 +15,7 @@ from corpus import (
     random_name_tree,
     star_tree,
 )
-from critforge import construct, treedecomp
+from critforge import arithstruct, construct, mergestar, treedecomp
 from critforge import (
     AbelianGroup,
     BetaOutOfRange,
@@ -242,6 +242,6 @@ def test_a_wrong_piece_group_raises(monkeypatch):
 
 
 def test_construction_checks_survive_optimized_mode():
-    for mod in (construct, treedecomp):
+    for mod in (arithstruct, construct, mergestar, treedecomp):
         tree = ast.parse(inspect.getsource(mod))
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))

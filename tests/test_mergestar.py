@@ -6,11 +6,13 @@ from math import gcd
 import pytest
 
 from corpus import fixture_graph, fixture_tree, running_example_tree, path_tree, star_tree
+from critforge import mergestar
 from critforge import (
     AbelianGroup,
     ArithStructError,
     ArithmeticalStructure,
     EnumerationConfig,
+    InternalInconsistency,
     NotStarlike,
     Tree,
     check_merge_additivity,
@@ -48,6 +50,14 @@ def test_merge_reproduces_the_paired_stars_fixture():
     assert km == AbelianGroup((2, 2, 6))
     assert additive
     assert km.order == 24
+
+
+def test_a_wrong_coprime_merge_group_raises(monkeypatch):
+    g1, s1 = load("fig1_star3")
+    g2, s2 = load("fig1_star4")
+    monkeypatch.setattr(mergestar, "critical_group", lambda g, s: AbelianGroup((999,)))
+    with pytest.raises(InternalInconsistency, match="coprime merge"):
+        check_merge_additivity(g1, "s0", s1, g2, "t1", s2)
 
 
 def test_merge_with_shared_factor_is_not_additive():

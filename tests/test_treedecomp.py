@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import max_two_matching
+from bruteforce import max_two_matching, peripheral_split
 from corpus import (
     all_trees,
     double_star_tree,
@@ -66,6 +66,37 @@ def test_split_returns_none_when_nothing_to_do():
     assert starlike_split(star_tree(5)) is None
     with pytest.raises(ValueError):
         starlike_split(running_example_tree(), prefer="middle")
+
+
+def assert_split_matches_the_definition(t):
+    """starlike_split against the independent peripheral_split oracle."""
+    edges = [(u, v) for u, v, _ in t.edges()]
+    for prefer in ("lowest", "highest"):
+        sp = starlike_split(t, prefer=prefer)
+        want = peripheral_split(edges, prefer)
+        if want is None:
+            assert sp is None
+            continue
+        center, piece, target = want
+        assert sp.center == center
+        assert sp.target == target
+        assert set(sp.piece.vertices) - {sp.merge_leaf} == piece
+        assert set(sp.remainder.vertices) == set(t.vertices) - piece
+        assert sp.regular == (t.degree(target) == 2)
+
+
+def test_split_matches_the_definition_on_every_small_shape():
+    shapes = all_trees(11)
+    assert len(shapes) == 435
+    for t in shapes:
+        assert_split_matches_the_definition(t)
+
+
+def test_split_matches_the_definition_on_random_name_trees():
+    rng = random.Random(13)
+    for n in range(10, 201, 5):
+        for _ in range(2):
+            assert_split_matches_the_definition(random_name_tree(rng, n))
 
 
 def test_decomposition_of_the_worked_example():
