@@ -202,12 +202,6 @@ def _need_structure(g: Graph, r: Mapping[str, int] | None,
     return structure_from_r(g, r)
 
 
-def _need_tree(g: Graph) -> Tree:
-    if isinstance(g, Tree):
-        return g
-    return Tree.from_graph(g)
-
-
 def document_of(g: Graph, s: ArithmeticalStructure | None = None,
                 extra: dict[str, Any] | None = None) -> dict[str, Any]:
     doc: dict[str, Any] = {
@@ -322,7 +316,7 @@ def cmd_divisor(ns: argparse.Namespace) -> int:
 
 def cmd_decompose(ns: argparse.Namespace) -> int:
     g, _, _ = load_document(ns.input)
-    t = _need_tree(g)
+    t = Tree.from_graph(g)
     dec = starlike_decomposition(t)
     pieces = []
     for i, piece in enumerate(dec.pieces):
@@ -348,7 +342,7 @@ def cmd_decompose(ns: argparse.Namespace) -> int:
 
 def cmd_iota(ns: argparse.Namespace) -> int:
     g, _, _ = load_document(ns.input)
-    t = _need_tree(g)
+    t = Tree.from_graph(g)
     io = iota(t)
     leaves = len(t.leaves)
     _emit({"iota": io, "leaves": leaves, "bound": leaves - 2 - io})
@@ -357,7 +351,7 @@ def cmd_iota(ns: argparse.Namespace) -> int:
 
 def cmd_nu2(ns: argparse.Namespace) -> int:
     g, _, _ = load_document(ns.input)
-    t = _need_tree(g)
+    t = Tree.from_graph(g)
     nu = two_matching_number(t)
     _emit({
         "nu2": nu,
@@ -402,7 +396,7 @@ def cmd_construct(ns: argparse.Namespace) -> int:
         if ns.beta is None:
             raise UsageError("--tree needs --beta")
         g, _, _ = load_document(ns.tree)
-        t = _need_tree(g)
+        t = Tree.from_graph(g)
         tree, s = realize_on_subdivision(t, target, ns.beta)
     elif ns.prongs is not None:
         tree, s = broom_with_group(target, ns.prongs)
@@ -417,7 +411,7 @@ def cmd_construct(ns: argparse.Namespace) -> int:
 
 def cmd_enumerate(ns: argparse.Namespace) -> int:
     g, _, _ = load_document(ns.input)
-    t = _need_tree(g)
+    t = Tree.from_graph(g)
     try:
         cfg = EnumerationConfig(r_bound=ns.r_bound, vertex_cap=ns.vertex_cap)
     except ValueError as exc:

@@ -21,7 +21,6 @@ from .arithstruct import (
 )
 from .exactlinalg import AbelianGroup
 from .graphcore import Tentacle, Tree, build_tree, subdivide, tentacles
-from .mergestar import merge_structures
 from .treedecomp import InternalInconsistency, iota, starlike_decomposition
 
 
@@ -167,12 +166,15 @@ def _tail_spread(piece: Tree, ten: Tentacle,
 
 
 def _realize_piece(piece: Tree, merge_leaf: str | None, target: AbelianGroup,
-                   ) -> tuple[Tree, ArithmeticalStructure]:
-    """Put a broom labelling onto one decomposition piece."""
+                   ) -> tuple[Tree, dict[str, int]]:
+    """Put a broom labelling onto one decomposition piece.
+
+    Returns the possibly grown piece and its r values, 1 on the merge leaf.
+    """
     if piece.is_path:
         if not target.is_trivial:
             raise InternalInconsistency(f"path piece given the target {target}")
-        return piece, laplacian_structure(piece)
+        return piece, dict.fromkeys(piece.vertices, 1)
     (center,) = piece.branch_vertices
     tens = tentacles(piece)
     non_merge = [t for t in tens if t.leaf != merge_leaf]
@@ -186,14 +188,8 @@ def _realize_piece(piece: Tree, merge_leaf: str | None, target: AbelianGroup,
         for v in ten.vertices:
             r[v] = val
     if merge_leaf is not None:
-        r[merge_leaf] = plan.prong_values[-1]
-    s = structure_from_r(grown, r)
-    if s.r != r:
-        raise InternalInconsistency("piece labelling was not primitive")
-    got = critical_group(grown, s)
-    if got != target:
-        raise InternalInconsistency(f"piece produced {got}, wanted {target}")
-    return grown, s
+        r[merge_leaf] = 1
+    return grown, r
 
 
 def _suppress_fresh(big: Tree, original: Tree) -> bool:
@@ -223,8 +219,8 @@ def realize_on_subdivision(t: Tree, target: AbelianGroup, beta: int,
     Adjacent branch vertices are separated until the count lands on
     ``beta``, then each starlike piece receives a broom labelling
     carrying its share of the invariant factors, and the pieces are
-    merged back along the original tree.  The subdivision relation, the final
-    irregularity, and the critical group are all re-checked.
+    glued back along the original tree by relabelling.  The subdivision
+    relation, the final irregularity, and the critical group are checked once.
     """
     base_iota = iota(t)
     if not isinstance(beta, int) or not 0 <= beta <= base_iota:
@@ -269,23 +265,29 @@ def realize_on_subdivision(t: Tree, target: AbelianGroup, beta: int,
         buckets[i].append(f)
     piece_targets = [AbelianGroup(tuple(sorted(b))) for b in buckets]
 
-    k = len(dec.pieces)
-    acc_tree, acc_struct = _realize_piece(dec.pieces[-1], None, piece_targets[-1])
-    for i in range(k - 2, -1, -1):
-        p_tree, p_struct = _realize_piece(
-            dec.pieces[i], dec.merge_leaf(i), piece_targets[i]
-        )
-        acc_tree, acc_struct = merge_structures(
-            acc_tree, dec.target(i), acc_struct,
-            p_tree, dec.merge_leaf(i), p_struct,
-        )
+    # Each merge leaf carries 1 and becomes its target, so gluing only scales
+    # the piece by the target's value; coprime glue makes the group a direct sum.
+    last = len(dec.pieces) - 1
+    grown, r = _realize_piece(dec.pieces[last], None, piece_targets[last])
+    edges = [(u, v) for u, v, _ in grown.edges()]
+    for i in range(last - 1, -1, -1):
+        leaf, glue = dec.merge_leaf(i), dec.target(i)
+        grown, piece_r = _realize_piece(dec.pieces[i], leaf, piece_targets[i])
+        edges += [(glue if u == leaf else u, glue if v == leaf else v)
+                  for u, v, _ in grown.edges()]
+        scale = r[glue]
+        r.update((v, val * scale) for v, val in piece_r.items() if v != leaf)
+    out = build_tree(edges)
+    s = structure_from_r(out, r)
+    if s.r != r:
+        raise InternalInconsistency("glued labelling was not primitive")
 
-    if not isinstance(acc_tree, Tree) or not _suppress_fresh(acc_tree, t):
+    if not _suppress_fresh(out, t):
         raise InternalInconsistency("result does not contract back onto the input tree")
-    got_iota = iota(acc_tree)
+    got_iota = iota(out)
     if got_iota != beta:
         raise InternalInconsistency(f"irregularity {got_iota} != requested {beta}")
-    got = critical_group(acc_tree, acc_struct)
+    got = critical_group(out, s)
     if got != target:
         raise InternalInconsistency(f"critical group {got} != target {target}")
-    return acc_tree, acc_struct
+    return out, s

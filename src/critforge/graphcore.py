@@ -159,6 +159,9 @@ class Tree(Graph):
 
     def __init__(self, adjacency: Mapping[str, Mapping[str, int]]):
         super().__init__(adjacency)
+        self._check_edge_count()
+
+    def _check_edge_count(self) -> None:
         if self.edge_count != self.vertex_count - 1:
             raise NotATree(
                 f"{self.edge_count} edges on {self.vertex_count} vertices"
@@ -166,7 +169,15 @@ class Tree(Graph):
 
     @classmethod
     def from_graph(cls, g: Graph) -> "Tree":
-        return cls(g._adj)
+        """View a checked graph as a tree; only the edge count is checked.
+
+        The tree shares ``g``'s adjacency, which nothing mutates."""
+        if isinstance(g, cls):
+            return g
+        t = cls.__new__(cls)
+        t._order, t._adj, t._index = g._order, g._adj, g._index
+        t._check_edge_count()
+        return t
 
     @property
     def is_path(self) -> bool:

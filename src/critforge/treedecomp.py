@@ -139,28 +139,11 @@ def starlike_decomposition(t: Tree, prefer: str = "lowest") -> StarlikeDecomposi
         cur = sp.remainder
     pieces.append(cur)
     irregular = sum(1 for sp in splittings if not sp.regular)
-    dec = StarlikeDecomposition(
+    return StarlikeDecomposition(
         pieces=tuple(pieces),
         splittings=tuple(splittings),
         irregular_count=irregular,
     )
-    _check_leaf_accounting(t, dec)
-    return dec
-
-
-def _check_leaf_accounting(t: Tree, dec: StarlikeDecomposition) -> None:
-    """Leaf counts of the pieces tie back to the whole tree."""
-    if t.is_path:
-        return
-    total = 0
-    for piece in dec.pieces:
-        total += max(len(piece.leaves) - 2, 0)
-    leaves = len(t.leaves)
-    expected = leaves - 2 - dec.irregular_count
-    if total != expected:
-        raise InternalInconsistency(
-            f"piece leaf budget {total} != {leaves} - 2 - {dec.irregular_count}"
-        )
 
 
 def iota(t: Tree) -> int:

@@ -17,6 +17,7 @@ from corpus import random_name_tree
 from critforge import ArithmeticalStructure, extend_at, fire, full_divisor, treedecomp
 from critforge.arithstruct import laplacian
 from critforge.cli import fixture_path, load_document, run
+from critforge.graphcore import Graph
 
 C4_DELTA = {"v1": 3, "v2": 1, "v3": -1, "v4": -2}
 
@@ -212,6 +213,20 @@ def test_iota_runs_the_two_matching_dp_once(capsys, monkeypatch):
         return real(t)
 
     monkeypatch.setattr(treedecomp, "two_matching_number", counting)
+    got = invoke_ok(capsys, "iota", "--input", fixture_path("fig4_tree"))
+    assert got == {"bound": 7, "iota": 3, "leaves": 12}
+    assert calls == [22]
+
+
+def test_iota_checks_the_graph_once(capsys, monkeypatch):
+    calls = []
+    real = Graph._check_connected
+
+    def counting(g):
+        calls.append(g.vertex_count)
+        real(g)
+
+    monkeypatch.setattr(Graph, "_check_connected", counting)
     got = invoke_ok(capsys, "iota", "--input", fixture_path("fig4_tree"))
     assert got == {"bound": 7, "iota": 3, "leaves": 12}
     assert calls == [22]

@@ -63,6 +63,17 @@ def test_build_tree_rejects_cycles_and_multi_edges():
         build_tree([("a", "b"), ("b", "c"), ("c", "a")])
     with pytest.raises(NotATree):
         build_tree([("a", "b", 2)])
+    with pytest.raises(NotATree):
+        Tree.from_graph(cycle_graph(4))
+
+
+def test_from_graph_reuses_the_checked_graph():
+    t = running_example_tree()
+    assert Tree.from_graph(t) is t
+    g = Graph({v: dict.fromkeys(t.neighbors(v), 1) for v in t.vertices})
+    view = Tree.from_graph(g)
+    assert type(view) is Tree
+    assert view == t and view.leaves == t.leaves
 
 
 def test_accessors_on_a_small_tree():

@@ -183,10 +183,15 @@ def test_iota_bound_and_leaf_accounting(t):
 
 
 def assert_iota_routes_agree(t):
-    """The DP iota against the decomposition, and the bound both ways."""
+    """The DP iota against the decomposition, the bound both ways, and
+    the pieces' leaf budget against the whole tree's."""
     io = iota(t)
     for prefer in ("lowest", "highest"):
-        assert starlike_decomposition(t, prefer=prefer).irregular_count == io
+        dec = starlike_decomposition(t, prefer=prefer)
+        assert dec.irregular_count == io
+        if not t.is_path:
+            budget = sum(max(len(p.leaves) - 2, 0) for p in dec.pieces)
+            assert budget == len(t.leaves) - 2 - io
     assert len(t.leaves) - 2 - io == t.edge_count - two_matching_number(t)
 
 
