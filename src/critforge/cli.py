@@ -39,7 +39,7 @@ from .construct import (
 from .enumeration import EnumerationConfig, EnumerationError, enumerate_structures
 from .exactlinalg import AbelianGroup, ExactLinalgError
 from .graphcore import Graph, GraphError, Tree, build_graph
-from .mergestar import MergeStarError, check_merge_additivity, merge_structures
+from .mergestar import MergeStarError, _additivity, merge_structures
 from .treedecomp import (
     TreeDecompError,
     iota,
@@ -370,12 +370,9 @@ def cmd_merge(ns: argparse.Namespace) -> int:
         raise UsageError(f"--left-vertex {ns.left_vertex!r} not in the left graph")
     if not g2.has_vertex(ns.right_vertex):
         raise UsageError(f"--right-vertex {ns.right_vertex!r} not in the right graph")
-    k1, k2, km, additive = check_merge_additivity(
-        g1, ns.left_vertex, s1, g2, ns.right_vertex, s2
-    )
-    merged, sm = merge_structures(
-        g1, ns.left_vertex, s1, g2, ns.right_vertex, s2
-    )
+    args = (g1, ns.left_vertex, s1, g2, ns.right_vertex, s2)
+    merged, sm = merge_structures(*args)
+    k1, k2, km, additive = _additivity(*args, merged, sm)
     g0 = gcd(s1.r[ns.left_vertex], s2.r[ns.right_vertex])
     _emit(document_of(merged, sm, extra={
         "merge_report": {

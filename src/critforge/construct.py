@@ -20,7 +20,7 @@ from .arithstruct import (
     structure_from_r,
 )
 from .exactlinalg import AbelianGroup
-from .graphcore import Tentacle, Tree, build_tree, subdivide, tentacles
+from .graphcore import Tentacle, Tree, build_tree, fresh_name, subdivide, tentacles
 from .treedecomp import InternalInconsistency, iota, starlike_decomposition
 
 
@@ -144,29 +144,33 @@ def _lowest_branch_edge(t: Tree) -> tuple[str, str]:
     raise InternalInconsistency("no adjacent branch vertices left to separate")
 
 
-def _tail_spread(piece: Tree, ten: Tentacle,
-                 values: tuple[int, ...]) -> tuple[Tree, dict[str, int]]:
+def _tail_spread(piece: Tree, ten: Tentacle, values: tuple[int, ...],
+                 taken: set[str]) -> tuple[Tree, dict[str, int]]:
     """Stretch a tentacle to carry the tail values, subdividing if short.
 
     Returns the possibly grown tree and the value assignment for the
     tentacle's final vertex set.  The original leaf keeps its name and
-    always carries the last value, which is 1.
+    always carries the last value, which is 1.  New vertices are named as
+    by ``subdivide``, but fresh against ``taken``, which they join.
     """
     a = ten.length
     b = len(values)
     if b <= a:
         vals = values[: b - 1] + (1,) * (a - b + 1)
         return piece, dict(zip(ten.vertices, vals))
-    before_leaf = ten.vertices[-2] if a >= 2 else ten.attachment
-    grown = subdivide(piece, (before_leaf, ten.leaf), b - a + 1)
-    stretched = [x.vertices for x in tentacles(grown) if x.leaf == ten.leaf]
-    if len(stretched) != 1 or len(stretched[0]) != b:
-        raise InternalInconsistency(f"stretched tail is not one tentacle of {b} vertices")
-    return grown, dict(zip(stretched[0], values))
+    u = ten.vertices[-2] if a >= 2 else ten.attachment
+    chain = [u]
+    for i in range(1, b - a + 1):
+        chain.append(fresh_name(f"{u}.{ten.leaf}.{i}", taken))
+        taken.add(chain[-1])
+    chain.append(ten.leaf)
+    edges = [(x, y) for x, y, _ in piece.edges() if ten.leaf not in (x, y)]
+    grown = build_tree(edges + list(zip(chain, chain[1:])))
+    return grown, dict(zip(ten.vertices[:-1] + tuple(chain[1:]), values))
 
 
 def _realize_piece(piece: Tree, merge_leaf: str | None, target: AbelianGroup,
-                   ) -> tuple[Tree, dict[str, int]]:
+                   taken: set[str]) -> tuple[Tree, dict[str, int]]:
     """Put a broom labelling onto one decomposition piece.
 
     Returns the possibly grown piece and its r values, 1 on the merge leaf.
@@ -182,7 +186,7 @@ def _realize_piece(piece: Tree, merge_leaf: str | None, target: AbelianGroup,
     plan = plan_broom(target, prongs)
     ordered = sorted(non_merge, key=lambda ten: (-ten.length, ten.vertices))
     tail_ten, prong_tens = ordered[0], ordered[1:]
-    grown, r = _tail_spread(piece, tail_ten, plan.tail_values)
+    grown, r = _tail_spread(piece, tail_ten, plan.tail_values, taken)
     r[center] = plan.center_value
     for ten, val in zip(prong_tens, plan.prong_values):
         for v in ten.vertices:
@@ -268,11 +272,12 @@ def realize_on_subdivision(t: Tree, target: AbelianGroup, beta: int,
     # Each merge leaf carries 1 and becomes its target, so gluing only scales
     # the piece by the target's value; coprime glue makes the group a direct sum.
     last = len(dec.pieces) - 1
-    grown, r = _realize_piece(dec.pieces[last], None, piece_targets[last])
+    taken = {*cur.vertices, *(dec.merge_leaf(i) for i in range(last))}
+    grown, r = _realize_piece(dec.pieces[last], None, piece_targets[last], taken)
     edges = [(u, v) for u, v, _ in grown.edges()]
     for i in range(last - 1, -1, -1):
         leaf, glue = dec.merge_leaf(i), dec.target(i)
-        grown, piece_r = _realize_piece(dec.pieces[i], leaf, piece_targets[i])
+        grown, piece_r = _realize_piece(dec.pieces[i], leaf, piece_targets[i], taken)
         edges += [(glue if u == leaf else u, glue if v == leaf else v)
                   for u, v, _ in grown.edges()]
         scale = r[glue]

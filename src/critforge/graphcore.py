@@ -7,7 +7,7 @@ object (matrices, vectors, enumerations) has one canonical layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 
 class GraphError(Exception):
@@ -322,15 +322,12 @@ def wedge(g1: Graph, x: str, g2: Graph, y: str) -> Graph:
     return Graph(adj)
 
 
-def fresh_name(base: str, taken: Iterable[str]) -> str:
-    """Deterministic fresh identifier derived from ``base``."""
-    pool = set(taken)
-    if base not in pool:
-        return base
-    i = 2
-    while f"{base}.{i}" in pool:
-        i += 1
-    return f"{base}.{i}"
+def fresh_name(base: str, taken: Collection[str]) -> str:
+    """Deterministic fresh identifier derived from ``base``; ``taken`` is not copied."""
+    name, i = base, 2
+    while name in taken:
+        name, i = f"{base}.{i}", i + 1
+    return name
 
 
 def subdivide(t: Tree, edge: tuple[str, str], parts: int) -> Tree:

@@ -83,7 +83,13 @@ def check_merge_additivity(g1: Graph, x: str, s1: ArithmeticalStructure,
     product of the two orders times the square of the glued gcd; that
     identity is checked rather than reported.
     """
-    merged, sm = merge_structures(g1, x, s1, g2, y, s2)
+    return _additivity(g1, x, s1, g2, y, s2, *merge_structures(g1, x, s1, g2, y, s2))
+
+
+def _additivity(g1: Graph, x: str, s1: ArithmeticalStructure, g2: Graph, y: str,
+                s2: ArithmeticalStructure, merged: Graph, sm: ArithmeticalStructure,
+                ) -> tuple[AbelianGroup, AbelianGroup, AbelianGroup, bool]:
+    """check_merge_additivity on a merge already made."""
     k1 = critical_group(g1, s1)
     k2 = critical_group(g2, s2)
     km = critical_group(merged, sm)

@@ -11,9 +11,12 @@ pieces (the last piece may degenerate to a path).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import heapq
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterator
 
-from .graphcore import Tentacle, Tree, fresh_name, tentacles
+from .graphcore import Tree, fresh_name, tentacles
 
 
 class TreeDecompError(Exception):
@@ -38,13 +41,21 @@ class StarlikeSplitting:
     fresh leaf ``merge_leaf`` standing in for the remainder.
     ``target`` is the vertex of ``remainder`` the merge leaf represents.
     A splitting is regular when the target is a leaf of the remainder.
+    The remainder is built from the original tree when first read.
     """
 
     piece: Tree
-    remainder: Tree
     merge_leaf: str
     target: str
     regular: bool
+    _tree: Tree = field(repr=False, compare=False)
+    _gone_at: dict[str, int] = field(repr=False, compare=False)
+    _step: int = field(repr=False, compare=False)
+
+    @cached_property
+    def remainder(self) -> Tree:
+        t, step = self._tree, self._step
+        return Tree(_induced(t, {v for v in t.vertices if self._gone_at.get(v, step + 1) > step}))
 
     @property
     def center(self) -> str:
@@ -77,72 +88,95 @@ class StarlikeDecomposition:
         return self.splittings[i].target
 
 
+def _induced(t: Tree, keep: set[str]) -> dict[str, dict[str, int]]:
+    return {v: {w: 1 for w in t.neighbors(v) if w in keep} for v in keep}
+
+
+def _splits(t: Tree, prefer: str) -> Iterator[StarlikeSplitting]:
+    """The splittings of ``t`` in order, from one leaf-first pass.
+
+    A branch vertex is peripheral when its degree exceeds its tentacle
+    count by one.  A cut only lowers the target's degree, so only the
+    target, and the branch vertex a new or grown tentacle reaches, can
+    change status; they go on the heap, which is checked as it is read.
+    Tentacles are kept leaf first, so each vertex is walked O(1) times.
+    """
+    if prefer not in ("lowest", "highest"):
+        raise ValueError(f"prefer must be 'lowest' or 'highest', not {prefer!r}")
+    deg = {v: t.degree(v) for v in t.vertices}
+    branches = sum(d >= 3 for d in deg.values())
+    arms: dict[str, list[list[str]]] = {}
+    for ten in tentacles(t):
+        arms.setdefault(ten.attachment, []).append(list(reversed(ten.vertices)))
+    rank = {v: i if prefer == "lowest" else -i for i, v in enumerate(t.vertices)}
+    heap = sorted((rank[v], v) for v in t.vertices if deg[v] >= 3)
+    live = set(t.vertices)
+    gone_at: dict[str, int] = {}
+
+    def grow(ten: list[str], prev: str | None, cur: str) -> None:
+        """Run a tentacle on through ``cur`` and degree-two vertices to a branch."""
+        while deg[cur] < 3:
+            ten.append(cur)
+            prev, (cur,) = cur, [x for x in t.neighbors(cur) if x in live and x != prev]
+        arms.setdefault(cur, []).append(ten)
+        heapq.heappush(heap, (rank[cur], cur))
+
+    step = 0
+    while branches >= 2:
+        if not heap:
+            raise InternalInconsistency("no peripheral branch vertex in a non-path tree")
+        c = heapq.heappop(heap)[1]
+        if c not in live or deg[c] < 3 or deg[c] - len(arms.get(c, ())) != 1:
+            continue
+        cut = {c}.union(*arms.pop(c))
+        (w,) = [x for x in t.neighbors(c) if x in live and x not in cut]
+        merge_leaf = fresh_name(f"{c}*", live)
+        adj = _induced(t, cut)
+        adj[c][merge_leaf] = 1
+        adj[merge_leaf] = {c: 1}
+        live -= cut
+        gone_at.update(dict.fromkeys(cut, step))
+        deg[w] -= 1
+        branches -= 1 + (deg[w] == 2)
+        if branches >= 2:
+            if deg[w] == 1:
+                grow([], None, w)
+            elif deg[w] == 2:
+                # w stops branching; a lone tentacle runs on through it
+                for ten in arms.pop(w, ()):
+                    grow(ten, ten[-1], w)
+            else:
+                heapq.heappush(heap, (rank[w], w))
+        yield StarlikeSplitting(Tree(adj), merge_leaf, w, deg[w] == 1, t, gone_at, step)
+        step += 1
+
+
 def starlike_split(t: Tree, prefer: str = "lowest") -> StarlikeSplitting | None:
     """Split one starlike piece off a tree, or None if it is already a piece.
 
     Trees with fewer than two branch vertices (paths and starlike trees)
-    cannot be split further and yield None.
+    cannot be split further and yield None.  This is the first step of
+    ``starlike_decomposition``'s pass, with its remainder built.
     """
-    if prefer not in ("lowest", "highest"):
-        raise ValueError(f"prefer must be 'lowest' or 'highest', not {prefer!r}")
-    branch = t.branch_vertices
-    if len(branch) < 2:
-        return None
-    arms: dict[str, list[Tentacle]] = {}
-    for ten in tentacles(t):
-        arms.setdefault(ten.attachment, []).append(ten)
-    # with two or more branch vertices, a peripheral one has exactly one
-    # neighbor that does not start one of its tentacles
-    peripheral = [c for c in branch if t.degree(c) - len(arms.get(c, ())) == 1]
-    if not peripheral:
-        raise InternalInconsistency("no peripheral branch vertex in a non-path tree")
-    c = peripheral[0] if prefer == "lowest" else peripheral[-1]
-    piece_vertices = {c}.union(*(ten.vertices for ten in arms[c]))
-    (toward_rest,) = [w for w in t.neighbors(c) if w not in piece_vertices]
-
-    merge_leaf = fresh_name(f"{c}*", t.vertices)
-    piece_adj = {
-        v: {w: 1 for w in t.neighbors(v) if w in piece_vertices}
-        for v in piece_vertices
-    }
-    piece_adj[c][merge_leaf] = 1
-    piece_adj[merge_leaf] = {c: 1}
-    piece = Tree(piece_adj)
-
-    rest_vertices = set(t.vertices) - piece_vertices
-    rest_adj = {
-        v: {w: 1 for w in t.neighbors(v) if w in rest_vertices}
-        for v in rest_vertices
-    }
-    remainder = Tree(rest_adj)
-    regular = remainder.degree(toward_rest) == 1
-    return StarlikeSplitting(
-        piece=piece,
-        remainder=remainder,
-        merge_leaf=merge_leaf,
-        target=toward_rest,
-        regular=regular,
-    )
+    for sp in _splits(t, prefer):
+        sp.remainder  # a single split hands back its remainder built
+        return sp
+    return None
 
 
 def starlike_decomposition(t: Tree, prefer: str = "lowest") -> StarlikeDecomposition:
-    """Iterate starlike_split until the remainder is starlike or a path."""
-    pieces = []
-    splittings = []
-    cur = t
-    while True:
-        sp = starlike_split(cur, prefer=prefer)
-        if sp is None:
-            break
-        pieces.append(sp.piece)
-        splittings.append(sp)
-        cur = sp.remainder
-    pieces.append(cur)
-    irregular = sum(1 for sp in splittings if not sp.regular)
+    """Split starlike pieces off until the remainder is starlike or a path.
+
+    One leaf-first pass over ``t``, O(n log n) for n vertices, building
+    one ``Tree`` per piece; the last piece is the last split's remainder,
+    and no other remainder is built unless it is read.
+    """
+    splittings = tuple(_splits(t, prefer))
     return StarlikeDecomposition(
-        pieces=tuple(pieces),
-        splittings=tuple(splittings),
-        irregular_count=irregular,
+        pieces=tuple(sp.piece for sp in splittings)
+        + (splittings[-1].remainder if splittings else t,),
+        splittings=splittings,
+        irregular_count=sum(not sp.regular for sp in splittings),
     )
 
 

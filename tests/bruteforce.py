@@ -177,3 +177,37 @@ def peripheral_split(edges, prefer):
     c, parts, target = candidates[0] if prefer == "lowest" else candidates[-1]
     piece = {c}.union(*(part for w, part in parts.items() if w != target))
     return c, piece, target
+
+
+def fresh_label(base, taken):
+    """``base`` if it is free, else ``base.i`` for the least free i >= 2."""
+    if base not in taken:
+        return base
+    i = 2
+    while f"{base}.{i}" in taken:
+        i += 1
+    return f"{base}.{i}"
+
+
+def reference_decomposition(edges, prefer):
+    """A starlike decomposition by repeating ``peripheral_split``.
+
+    Each step names its merge leaf ``c*`` made fresh against the current
+    remainder, then deletes every edge that touches the piece.  Returns
+    (splits, last): one (center, piece edges, merge leaf, target,
+    regular, remainder edges) per split, and the edges of the last
+    piece.  Edges are sets of (u, v) pairs with u < v.
+    """
+    rest = {(u, v) if u < v else (v, u) for u, v in edges}
+    splits = []
+    while True:
+        got = peripheral_split(sorted(rest), prefer)
+        if got is None:
+            return splits, rest
+        c, piece, target = got
+        leaf = fresh_label(f"{c}*", {x for e in rest for x in e})
+        piece_edges = {e for e in rest if e[0] in piece and e[1] in piece}
+        piece_edges.add((c, leaf) if c < leaf else (leaf, c))
+        rest = {e for e in rest if e[0] not in piece and e[1] not in piece}
+        regular = sum(target in e for e in rest) == 1
+        splits.append((c, piece_edges, leaf, target, regular, rest))

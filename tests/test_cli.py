@@ -11,10 +11,13 @@ import json
 import random
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import random_name_tree
-from critforge import ArithmeticalStructure, extend_at, fire, full_divisor, treedecomp
+from critforge import (
+    ArithmeticalStructure, cli, extend_at, fire, full_divisor, mergestar, treedecomp,
+)
 from critforge.arithstruct import laplacian
 from critforge.cli import fixture_path, load_document, run
 from critforge.graphcore import Graph
@@ -232,18 +235,36 @@ def test_iota_checks_the_graph_once(capsys, monkeypatch):
     assert calls == [22]
 
 
-def test_iota_and_nu2_on_a_64000_vertex_tree(capsys, tmp_path):
+@pytest.fixture(scope="module")
+def big_tree(tmp_path_factory):
+    """A seeded 64,000-vertex tree and the path of its document."""
     t = random_name_tree(random.Random(64000), 64000)
-    path = write_doc(tmp_path, "big.json", {
+    path = tmp_path_factory.mktemp("big") / "big.json"
+    path.write_text(json.dumps({
         "vertices": list(t.vertices),
         "edges": [[u, v] for u, v, _ in t.edges()],
-    })
+    }), encoding="utf-8")
+    return t, str(path)
+
+
+def test_iota_and_nu2_on_a_64000_vertex_tree(capsys, big_tree):
+    _, path = big_tree
     got = invoke_ok(capsys, "iota", "--input", path)
     assert got["iota"] > 1000
     assert got["bound"] == got["leaves"] - 2 - got["iota"]
     nu = invoke_ok(capsys, "nu2", "--input", path)
     assert nu["edges"] == 63999
     assert got["bound"] == nu["bound"] == nu["edges"] - nu["nu2"]
+
+
+def test_decompose_on_a_64000_vertex_tree(capsys, big_tree):
+    t, path = big_tree
+    got = invoke_ok(capsys, "decompose", "--input", path)
+    assert got["iota"] == invoke_ok(capsys, "iota", "--input", path)["iota"]
+    assert len(got["pieces"]) > 10000
+    # without their merge leaves, the pieces partition the tree
+    seen = [v for p in got["pieces"] for v in p["vertices"] if v != p["merge_leaf"]]
+    assert sorted(seen) == list(t.vertices)
 
 
 def test_merge_rebuilds_the_merged_fixture(capsys):
@@ -278,6 +299,27 @@ def test_merge_rebuilds_the_merged_fixture(capsys):
     assert [tuple(e) for e in got["edges"]] == [(u, v) for u, v, _ in g.edges()]
 
 
+def test_merge_merges_once(capsys, monkeypatch):
+    calls = []
+    real = mergestar.merge_structures
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    for mod in (mergestar, cli):
+        monkeypatch.setattr(mod, "merge_structures", counting)
+    got = invoke_ok(
+        capsys, "merge",
+        "--left", fixture_path("fig1_star3"),
+        "--right", fixture_path("fig1_star4"),
+        "--left-vertex", "s0", "--right-vertex", "t1",
+    )
+    assert got["merge_report"]["additive"] is True
+    assert got["merge_report"]["order_identity_holds"] is True
+    assert calls == ["s0"]
+
+
 def test_construct_builds_brooms_and_the_trivial_tree(capsys):
     got = invoke_ok(capsys, "construct", "--group", "3,18", "--prongs", "2")
     assert got["group"] == {"invariant_factors": [3, 18], "order": 54}
@@ -310,6 +352,17 @@ def test_construct_realizes_on_a_subdivision(capsys, tmp_path):
     assert invoke_ok(capsys, "nu2", "--input", out) == {
         "bound": 7, "edges": 35, "nu2": 28,
     }
+
+
+def test_construct_draws_tail_names_against_the_whole_tree(capsys, tmp_path):
+    path = write_doc(tmp_path, "clash.json", {
+        "vertices": ["a", "a.b.1", "b", "m", "q", "x1", "x2"],
+        "edges": [["a", "b"], ["a", "x1"], ["a", "x2"], ["a", "m"],
+                  ["m", "a.b.1"], ["m", "q"]],
+    })
+    got = invoke_ok(capsys, "construct", "--group", "6", "--tree", path, "--beta", "0")
+    assert got["group"] == {"invariant_factors": [6], "order": 6}
+    assert len(got["edges"]) == len(got["vertices"]) - 1
 
 
 def test_enumerate_lists_structures(capsys, tmp_path):

@@ -27,6 +27,7 @@ from critforge import (
     PathWithNontrivialTarget,
     TooManyFactors,
     broom_with_group,
+    build_tree,
     critical_group,
     iota,
     laplacian_structure,
@@ -182,6 +183,20 @@ def test_subdivision_realization_on_the_worked_tree():
     assert critical_group(out, s) == target
 
 
+def test_tail_names_are_fresh_against_the_whole_tree():
+    # m's leaf already has the name subdivide gives the first new vertex
+    # on the edge a-b, which the broom on a's piece stretches
+    t = build_tree([("a", "b"), ("a", "x1"), ("a", "x2"), ("a", "m"),
+                    ("m", "a.b.1"), ("m", "q")])
+    target = AbelianGroup((6,))
+    out, s = realize_on_subdivision(t, target, 0)
+    assert iota(out) == 0
+    assert critical_group(out, s) == target
+    assert sorted(out.neighbors("m")) == ["a.b.1", "a.m.1", "q"]
+    # only the clashing name moves aside; the others keep theirs
+    assert {"a.b.1.2", "a.b.2", "a.b.3", "a.b.4"} <= set(out.vertices)
+
+
 def test_realization_builds_one_decomposition(monkeypatch):
     calls = []
     real = treedecomp.starlike_decomposition
@@ -213,8 +228,8 @@ def test_quotient_route_sees_constructed_structures(monkeypatch):
     pieces = []
     real = construct._realize_piece
 
-    def recording(piece, merge_leaf, target):
-        grown, r = real(piece, merge_leaf, target)
+    def recording(piece, merge_leaf, target, taken):
+        grown, r = real(piece, merge_leaf, target, taken)
         s = structure_from_r(grown, r)
         assert s.r == r
         pieces.append((grown, s, target))
@@ -245,8 +260,8 @@ def realize_recording(monkeypatch, t, target, beta):
         decs.append(real_dec(t, prefer))
         return decs[-1]
 
-    def piece_recording(piece, merge_leaf, target):
-        grown, r = real_piece(piece, merge_leaf, target)
+    def piece_recording(piece, merge_leaf, target, taken):
+        grown, r = real_piece(piece, merge_leaf, target, taken)
         pieces.append((grown, merge_leaf, r))
         return grown, r
 

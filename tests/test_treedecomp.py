@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import max_two_matching, peripheral_split
+from bruteforce import max_two_matching, peripheral_split, reference_decomposition
 from corpus import (
     all_trees,
     double_star_tree,
@@ -18,6 +18,8 @@ from corpus import (
 )
 from critforge import (
     CyclicClass,
+    Tree,
+    build_tree,
     critical_group,
     cyclic_classification,
     has_adjacent_branch_vertices,
@@ -109,6 +111,76 @@ def test_decomposition_of_the_worked_example():
     for sp in reversed(dec.splittings):
         rebuilt = wedge(rebuilt, sp.target, sp.piece, sp.merge_leaf)
     assert rebuilt == t
+
+
+def edge_set(t):
+    return {(u, v) for u, v, _ in t.edges()}
+
+
+def assert_decomposition_matches_the_reference(t):
+    """starlike_decomposition against repeated peripheral_split, for both
+    orders, with every remainder read."""
+    edges = [(u, v) for u, v, _ in t.edges()]
+    for prefer in ("lowest", "highest"):
+        dec = starlike_decomposition(t, prefer=prefer)
+        splits, last = reference_decomposition(edges, prefer)
+        assert len(dec.splittings) == len(splits) == len(dec.pieces) - 1
+        for sp, piece, want in zip(dec.splittings, dec.pieces, splits):
+            center, piece_edges, leaf, target, regular, rest = want
+            assert sp.piece is piece
+            assert (sp.center, sp.merge_leaf, sp.target, sp.regular) == (
+                center, leaf, target, regular,
+            )
+            assert edge_set(piece) == piece_edges
+            assert edge_set(sp.remainder) == rest
+        assert edge_set(dec.last_piece) == last
+        assert dec.irregular_count == sum(not want[4] for want in splits)
+
+
+def test_decomposition_matches_the_reference_on_every_small_shape():
+    shapes = all_trees(12)
+    assert len(shapes) == 986
+    for t in shapes:
+        assert_decomposition_matches_the_reference(t)
+
+
+def test_decomposition_matches_the_reference_on_random_name_trees():
+    rng = random.Random(15)
+    for k in range(100):
+        assert_decomposition_matches_the_reference(
+            random_name_tree(rng, 10 + 290 * k // 99)
+        )
+
+
+def test_decomposition_matches_the_reference_where_star_names_are_taken():
+    # vertex k is named "v" and k stars, so each fresh "c*" must step
+    # past a vertex of the piece, of the remainder, or of an earlier piece
+    for t in all_trees(9):
+        for order in (t.vertices, t.vertices[::-1]):
+            name = {v: "v" + "*" * k for k, v in enumerate(order)}
+            assert_decomposition_matches_the_reference(
+                build_tree([(name[u], name[v]) for u, v, _ in t.edges()])
+            )
+
+
+def test_decomposition_builds_one_tree_per_piece(monkeypatch):
+    t = random_name_tree(random.Random(2000), 2000)
+    built = []
+    real = Tree.__init__
+
+    def counting(self, adjacency):
+        built.append(len(adjacency))
+        real(self, adjacency)
+
+    monkeypatch.setattr(Tree, "__init__", counting)
+    dec = starlike_decomposition(t)
+    assert len(dec.pieces) > 100
+    assert len(built) == len(dec.pieces)
+    sp = dec.splittings[len(dec.splittings) // 2]
+    rest = sp.remainder
+    assert sp.remainder is rest
+    assert len(built) == len(dec.pieces) + 1
+    assert built[-1] == rest.vertex_count
 
 
 def test_frozen_invariants_of_the_two_cousins():
