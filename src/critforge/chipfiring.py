@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from .arithstruct import ArithmeticalStructure, _require_values, _unit_pivot_core
 from .exactlinalg import IntegerMatrix, determinantal_divisor, smith_normal_form, solve_integer
-from .graphcore import Graph, Tentacle, Tree, UnknownVertex, path_as_tentacle, tentacles
+from .graphcore import Graph, Tentacle, Tree, UnknownVertex, path_as_tentacle
 from .treedecomp import InternalInconsistency, StarlikeDecomposition
 
 Divisor = dict[str, int]
@@ -231,13 +231,6 @@ def clearable(g: Graph, d: Mapping[str, int], xs: Sequence[str],
     return determinantal_divisor(block, len(xs)) == 1
 
 
-def _piece_tentacles(piece: Tree, merge_leaf: str | None) -> tuple[str, list[Tentacle]]:
-    """Center and sorted non-merge tentacles of a starlike piece."""
-    (center,) = piece.branch_vertices
-    tens = [t for t in tentacles(piece) if merge_leaf is None or t.leaf != merge_leaf]
-    return center, tens
-
-
 def reduce_support(t: Tree, d: Mapping[str, int], delta: Mapping[str, int],
                    decomposition: StarlikeDecomposition) -> Divisor:
     """Push a divisor onto few leaves by sweeping piece by piece.
@@ -265,48 +258,28 @@ def reduce_support(t: Tree, d: Mapping[str, int], delta: Mapping[str, int],
             cur = fire(t, d, cur, v, -amount)
             fired[v] -= amount
 
-    if t.is_path:
-        if t.vertex_count > 1:
-            end = sorted(t.leaves)[0]
-            run(path_as_tentacle(t, end), "inward")
-            allowed = {end}
-        else:
-            allowed = set(t.vertices)
-    else:
-        pieces = decomposition.pieces
-        k = len(pieces)
-        allowed = set()
+    k = len(decomposition.pieces)
+    allowed = set(t.vertices) if t.vertex_count == 1 else set()
 
-        # forward pass: flatten one tentacle per piece and park the rest
-        piece_info = []
-        for i in range(k - 1):
-            center, tens = _piece_tentacles(
-                pieces[i], decomposition.merge_leaf(i)
-            )
-            piece_info.append((center, tens))
+    # forward pass: flatten one tentacle per piece and park the rest
+    for i in range(k):
+        tens = decomposition.tentacles(i)
+        if tens:
             run(tens[0], "inward")
-            borrow_at(center, cur[tens[0].vertices[0]])
+            borrow_at(tens[0].attachment, cur[tens[0].vertices[0]])
 
-        # the last piece carries no merge leaf
-        last = pieces[-1]
-        if last.is_path:
-            end = sorted(last.leaves)[0]
-            run(path_as_tentacle(last, end), "inward")
-            allowed.add(end)
-        else:
-            center, tens = _piece_tentacles(last, None)
-            run(tens[0], "inward")
-            borrow_at(center, cur[tens[0].vertices[0]])
-            for ten in tens[1:]:
-                run(ten, "outward")
-                allowed.add(ten.leaf)
+    # a path last piece (or tree) has no tentacles: flatten it onto one end
+    last = decomposition.last_piece
+    if last.is_path and last.vertex_count > 1:
+        end = sorted(last.leaves)[0]
+        run(path_as_tentacle(last, end), "inward")
+        allowed.add(end)
 
-        # backward pass: sweep each parked pile out to its leaves
-        for i in range(k - 2, -1, -1):
-            center, tens = piece_info[i]
-            for ten in tens[1:]:
-                run(ten, "outward")
-                allowed.add(ten.leaf)
+    # backward pass: sweep each parked pile out to its leaves
+    for i in range(k - 1, -1, -1):
+        for ten in decomposition.tentacles(i)[1:]:
+            run(ten, "outward")
+            allowed.add(ten.leaf)
 
     base = full_divisor(t, delta)
     _check_witness(t, d, fired, [base[v] - cur[v] for v in t.vertices])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from importlib import resources
 from math import gcd
@@ -81,23 +82,33 @@ def _echo(text: str) -> str:
     return f"{text[:ECHO_CHARS]!r}... ({len(text)} characters)"
 
 
+# Plain ASCII decimals only: int() would also take spaces, underscores
+# and non-ASCII digits.
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _decimal_arg(text: str) -> int:
+    """argparse type for the integer flags."""
+    if not _DECIMAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"{_echo(text)} is not a decimal integer")
+    return int(text)
+
+
 def _as_int(value: Any, what: str) -> int:
     if isinstance(value, bool):
         raise UsageError(f"{what}: expected an integer, got {value!r}")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
+        if not _DECIMAL.fullmatch(value):
+            raise UsageError(f"{what}: {_echo(value)} is not a decimal integer")
         try:
-            return int(value, 10)
+            return int(value)
         except ValueError:
-            pass
-        digits = value.strip().lstrip("+-")
-        if digits.isascii() and digits.isdigit():
             raise UsageError(
-                f"{what}: {_echo(value)} has {len(digits)} digits, more than "
-                f"the {sys.get_int_max_str_digits()} that can be read"
-            )
-        raise UsageError(f"{what}: {_echo(value)} is not a decimal integer")
+                f"{what}: {_echo(value)} has {len(value.lstrip('+-'))} digits, more "
+                f"than the {sys.get_int_max_str_digits()} that can be read"
+            ) from None
     raise UsageError(f"{what}: expected an integer, got {value!r}")
 
 
@@ -243,12 +254,7 @@ def _parse_group(text: str) -> AbelianGroup:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise UsageError("--group needs at least one integer")
-    vals = []
-    for p in parts:
-        try:
-            vals.append(int(p, 10))
-        except ValueError:
-            raise UsageError(f"--group entry {p!r} is not an integer") from None
+    vals = [_as_int(p, "--group entry") for p in parts]
     if vals == [1]:
         return AbelianGroup.trivial()
     for x in vals:
@@ -392,14 +398,16 @@ def cmd_construct(ns: argparse.Namespace) -> int:
     if ns.tree is not None:
         if ns.beta is None:
             raise UsageError("--tree needs --beta")
+        if ns.prongs is not None:
+            raise UsageError("--prongs does not go with --tree")
         g, _, _ = load_document(ns.tree)
         t = Tree.from_graph(g)
         tree, s = realize_on_subdivision(t, target, ns.beta)
+    elif ns.beta is not None:
+        raise UsageError("--beta needs --tree")
     elif ns.prongs is not None:
         tree, s = broom_with_group(target, ns.prongs)
     else:
-        if ns.beta is not None:
-            raise UsageError("--beta needs --tree")
         tree, s = realize_group(target)
     # every route has checked its group against the target already
     _emit(document_of(tree, s, extra={"group": _group_json(target)}))
@@ -485,14 +493,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True,
                    help="invariant factors smallest-to-largest, e.g. 3,18; 1 for trivial")
     p.add_argument("--tree", help="realize on a subdivision of this tree document")
-    p.add_argument("--beta", type=int, help="required irregularity of the subdivision")
-    p.add_argument("--prongs", type=int, help="build a broom with this many prongs")
+    p.add_argument("--beta", type=_decimal_arg, help="required irregularity of the subdivision")
+    p.add_argument("--prongs", type=_decimal_arg, help="build a broom with this many prongs")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("enumerate", help="list structures on a small tree")
     with_input(p)
-    p.add_argument("--r-bound", type=int, default=60)
-    p.add_argument("--vertex-cap", type=int, default=12)
+    p.add_argument("--r-bound", type=_decimal_arg, default=60)
+    p.add_argument("--vertex-cap", type=_decimal_arg, default=12)
     p.set_defaults(func=cmd_enumerate)
 
     return parser
@@ -516,3 +524,7 @@ def run(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

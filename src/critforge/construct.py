@@ -20,7 +20,7 @@ from .arithstruct import (
     structure_from_r,
 )
 from .exactlinalg import AbelianGroup
-from .graphcore import Tentacle, Tree, build_tree, fresh_name, subdivide, tentacles
+from .graphcore import Tentacle, Tree, build_tree, fresh_name, subdivide
 from .treedecomp import InternalInconsistency, iota, starlike_decomposition
 
 
@@ -137,63 +137,43 @@ def realize_group(target: AbelianGroup) -> tuple[Tree, ArithmeticalStructure]:
     return broom_with_group(target, len(target.invariant_factors))
 
 
-def _lowest_branch_edge(t: Tree) -> tuple[str, str]:
-    for u, v, _ in t.edges():
-        if t.degree(u) >= 3 and t.degree(v) >= 3:
-            return (u, v)
-    raise InternalInconsistency("no adjacent branch vertices left to separate")
-
-
-def _tail_spread(piece: Tree, ten: Tentacle, values: tuple[int, ...],
-                 taken: set[str]) -> tuple[Tree, dict[str, int]]:
-    """Stretch a tentacle to carry the tail values, subdividing if short.
-
-    Returns the possibly grown tree and the value assignment for the
-    tentacle's final vertex set.  The original leaf keeps its name and
-    always carries the last value, which is 1.  New vertices are named as
-    by ``subdivide``, but fresh against ``taken``, which they join.
-    """
-    a = ten.length
-    b = len(values)
-    if b <= a:
-        vals = values[: b - 1] + (1,) * (a - b + 1)
-        return piece, dict(zip(ten.vertices, vals))
-    u = ten.vertices[-2] if a >= 2 else ten.attachment
-    chain = [u]
-    for i in range(1, b - a + 1):
-        chain.append(fresh_name(f"{u}.{ten.leaf}.{i}", taken))
-        taken.add(chain[-1])
-    chain.append(ten.leaf)
-    edges = [(x, y) for x, y, _ in piece.edges() if ten.leaf not in (x, y)]
-    grown = build_tree(edges + list(zip(chain, chain[1:])))
-    return grown, dict(zip(ten.vertices[:-1] + tuple(chain[1:]), values))
-
-
-def _realize_piece(piece: Tree, merge_leaf: str | None, target: AbelianGroup,
-                   taken: set[str]) -> tuple[Tree, dict[str, int]]:
+def _realize_piece(piece: Tree, tens: tuple[Tentacle, ...], merge_leaf: str | None,
+                   target: AbelianGroup, taken: set[str],
+                   ) -> tuple[list[tuple[str, str]], dict[str, int]]:
     """Put a broom labelling onto one decomposition piece.
 
-    Returns the possibly grown piece and its r values, 1 on the merge leaf.
+    ``tens`` are the piece's tentacles other than the merge leaf; a path
+    piece has none.  The longest becomes the tail, stretched when short
+    by new vertices named as by ``subdivide`` but fresh against
+    ``taken``, which they join.  The original leaf keeps its name and
+    always carries the last tail value, which is 1.  Returns the grown
+    piece's edges and its r values, 1 on the merge leaf.
     """
-    if piece.is_path:
+    if not tens:
         if not target.is_trivial:
             raise InternalInconsistency(f"path piece given the target {target}")
-        return piece, dict.fromkeys(piece.vertices, 1)
-    (center,) = piece.branch_vertices
-    tens = tentacles(piece)
-    non_merge = [t for t in tens if t.leaf != merge_leaf]
-    prongs = len(tens) - 2
-    plan = plan_broom(target, prongs)
-    ordered = sorted(non_merge, key=lambda ten: (-ten.length, ten.vertices))
-    tail_ten, prong_tens = ordered[0], ordered[1:]
-    grown, r = _tail_spread(piece, tail_ten, plan.tail_values, taken)
+        return [(u, v) for u, v, _ in piece.edges()], dict.fromkeys(piece.vertices, 1)
+    center = tens[0].attachment
+    plan = plan_broom(target, len(tens) - 2 + (merge_leaf is not None))
+    tail, *prongs = sorted(tens, key=lambda ten: (-ten.length, ten.vertices))
+    verts, values = list(tail.vertices), plan.tail_values
+    if len(values) <= len(verts):
+        values = values[:-1] + (1,) * (len(verts) - len(values) + 1)
+    else:
+        u = verts[-2] if len(verts) >= 2 else center
+        for i in range(1, len(values) - len(verts) + 1):
+            verts.insert(-1, fresh_name(f"{u}.{tail.leaf}.{i}", taken))
+            taken.add(verts[-2])
+    edges = list(zip([center] + verts, verts))
+    r = dict(zip(verts, values))
     r[center] = plan.center_value
-    for ten, val in zip(prong_tens, plan.prong_values):
-        for v in ten.vertices:
-            r[v] = val
+    for ten, val in zip(prongs, plan.prong_values):
+        edges += zip((center,) + ten.vertices, ten.vertices)
+        r.update(dict.fromkeys(ten.vertices, val))
     if merge_leaf is not None:
+        edges.append((center, merge_leaf))
         r[merge_leaf] = 1
-    return grown, r
+    return edges, r
 
 
 def _suppress_fresh(big: Tree, original: Tree) -> bool:
@@ -239,12 +219,18 @@ def realize_on_subdivision(t: Tree, target: AbelianGroup, beta: int,
             )
         return t, laplacian_structure(t)
 
+    # Fresh vertices have degree two and original names keep their order,
+    # so the lowest branch pair left in the grown tree is the next one here.
+    pairs = iter([(u, v) for u, v, _ in t.edges() if t.degree(u) >= 3 and t.degree(v) >= 3])
     cur, cnt = t, base_iota
     while cnt != beta:
         # Separating a branch pair drops the count by at most one and
         # never raises it, and each pass removes one pair, so the loop
         # walks through beta exactly before the pairs run out.
-        grown = subdivide(cur, _lowest_branch_edge(cur), 2)
+        pair = next(pairs, None)
+        if pair is None:
+            raise InternalInconsistency("no adjacent branch vertices left to separate")
+        grown = subdivide(cur, pair, 2)
         after = iota(grown)
         if after not in (cnt, cnt - 1):
             raise InternalInconsistency(
@@ -273,13 +259,13 @@ def realize_on_subdivision(t: Tree, target: AbelianGroup, beta: int,
     # the piece by the target's value; coprime glue makes the group a direct sum.
     last = len(dec.pieces) - 1
     taken = {*cur.vertices, *(dec.merge_leaf(i) for i in range(last))}
-    grown, r = _realize_piece(dec.pieces[last], None, piece_targets[last], taken)
-    edges = [(u, v) for u, v, _ in grown.edges()]
+    edges, r = _realize_piece(dec.pieces[last], dec.tentacles(last), None,
+                              piece_targets[last], taken)
     for i in range(last - 1, -1, -1):
         leaf, glue = dec.merge_leaf(i), dec.target(i)
-        grown, piece_r = _realize_piece(dec.pieces[i], leaf, piece_targets[i], taken)
-        edges += [(glue if u == leaf else u, glue if v == leaf else v)
-                  for u, v, _ in grown.edges()]
+        piece_edges, piece_r = _realize_piece(dec.pieces[i], dec.tentacles(i), leaf,
+                                              piece_targets[i], taken)
+        edges += [(glue if u == leaf else u, glue if v == leaf else v) for u, v in piece_edges]
         scale = r[glue]
         r.update((v, val * scale) for v, val in piece_r.items() if v != leaf)
     out = build_tree(edges)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
 
-from .graphcore import Tree, fresh_name, tentacles
+from .graphcore import Tentacle, Tree, fresh_name, tentacles
 
 
 class TreeDecompError(Exception):
@@ -37,17 +37,21 @@ class CyclicClass(enum.Enum):
 class StarlikeSplitting:
     """One split: a starlike piece cut off a larger tree.
 
-    ``piece`` contains the chosen branch vertex, its tentacles, and the
-    fresh leaf ``merge_leaf`` standing in for the remainder.
-    ``target`` is the vertex of ``remainder`` the merge leaf represents.
-    A splitting is regular when the target is a leaf of the remainder.
-    The remainder is built from the original tree when first read.
+    ``piece`` contains the chosen branch vertex ``center``, its
+    ``tentacles``, and the fresh leaf ``merge_leaf`` standing in for the
+    remainder.  ``tentacles`` leaves out the merge leaf and is sorted by
+    vertex sequence, each attached at ``center``.  ``target`` is the
+    vertex of ``remainder`` the merge leaf represents.  A splitting is
+    regular when the target is a leaf of the remainder.  The remainder
+    is built from the original tree when first read.
     """
 
     piece: Tree
     merge_leaf: str
     target: str
     regular: bool
+    center: str
+    tentacles: tuple[Tentacle, ...]
     _tree: Tree = field(repr=False, compare=False)
     _gone_at: dict[str, int] = field(repr=False, compare=False)
     _step: int = field(repr=False, compare=False)
@@ -57,11 +61,6 @@ class StarlikeSplitting:
         t, step = self._tree, self._step
         return Tree(_induced(t, {v for v in t.vertices if self._gone_at.get(v, step + 1) > step}))
 
-    @property
-    def center(self) -> str:
-        (c,) = self.piece.branch_vertices
-        return c
-
 
 @dataclass(frozen=True)
 class StarlikeDecomposition:
@@ -70,7 +69,8 @@ class StarlikeDecomposition:
     ``pieces[i]`` for i below the number of splittings is the piece of
     ``splittings[i]``; the final piece is the last remainder, either
     starlike or a path, and carries no merge leaf.  ``irregular_count``
-    is the number of irregular splittings.
+    is the number of irregular splittings.  ``tentacles(i)`` gives piece
+    i's tentacles, read off the pass for every piece but the last.
     """
 
     pieces: tuple[Tree, ...]
@@ -87,6 +87,18 @@ class StarlikeDecomposition:
     def target(self, i: int) -> str:
         return self.splittings[i].target
 
+    def tentacles(self, i: int) -> tuple[Tentacle, ...]:
+        """Tentacles of piece i other than its merge leaf, sorted by
+        vertex sequence; none when the last piece is a path."""
+        i = range(len(self.pieces))[i]
+        if i < len(self.splittings):
+            return self.splittings[i].tentacles
+        return self._last_tentacles
+
+    @cached_property
+    def _last_tentacles(self) -> tuple[Tentacle, ...]:
+        return tuple(tentacles(self.last_piece))
+
 
 def _induced(t: Tree, keep: set[str]) -> dict[str, dict[str, int]]:
     return {v: {w: 1 for w in t.neighbors(v) if w in keep} for v in keep}
@@ -99,7 +111,8 @@ def _splits(t: Tree, prefer: str) -> Iterator[StarlikeSplitting]:
     count by one.  A cut only lowers the target's degree, so only the
     target, and the branch vertex a new or grown tentacle reaches, can
     change status; they go on the heap, which is checked as it is read.
-    Tentacles are kept leaf first, so each vertex is walked O(1) times.
+    Tentacles are kept leaf first, so each vertex is walked O(1) times;
+    each splitting hands them over as its piece's tentacles.
     """
     if prefer not in ("lowest", "highest"):
         raise ValueError(f"prefer must be 'lowest' or 'highest', not {prefer!r}")
@@ -128,7 +141,8 @@ def _splits(t: Tree, prefer: str) -> Iterator[StarlikeSplitting]:
         c = heapq.heappop(heap)[1]
         if c not in live or deg[c] < 3 or deg[c] - len(arms.get(c, ())) != 1:
             continue
-        cut = {c}.union(*arms.pop(c))
+        own = arms.pop(c)
+        cut = {c}.union(*own)
         (w,) = [x for x in t.neighbors(c) if x in live and x not in cut]
         merge_leaf = fresh_name(f"{c}*", live)
         adj = _induced(t, cut)
@@ -147,7 +161,10 @@ def _splits(t: Tree, prefer: str) -> Iterator[StarlikeSplitting]:
                     grow(ten, ten[-1], w)
             else:
                 heapq.heappush(heap, (rank[w], w))
-        yield StarlikeSplitting(Tree(adj), merge_leaf, w, deg[w] == 1, t, gone_at, step)
+        tens = sorted((Tentacle(tuple(reversed(ten)), c) for ten in own),
+                      key=lambda ten: ten.vertices)
+        yield StarlikeSplitting(Tree(adj), merge_leaf, w, deg[w] == 1, c, tuple(tens),
+                                t, gone_at, step)
         step += 1
 
 

@@ -1,11 +1,15 @@
 """Shared graphs, fixture loaders, and enumeration budgets for the tests."""
 
 import json
+import pkgutil
+from importlib import import_module
 from itertools import combinations, product
 
 import networkx as nx
 
+import critforge
 from critforge import ArithStructError, EnumerationConfig, build_graph, build_tree, structure_from_r
+from critforge import graphcore
 from critforge.cli import fixture_path
 
 # r-value search ceilings for the corpus sweeps, keyed by leaf count.
@@ -130,3 +134,20 @@ def only_cyclic_shape(t):
         if v not in t.neighbors(u):
             return False
     return True
+
+
+def count_tentacle_walks(monkeypatch):
+    """Count calls of ``graphcore.tentacles`` from anywhere in critforge;
+    returns the list that each call appends its tree to."""
+    calls = []
+    real = graphcore.tentacles
+
+    def counting(t):
+        calls.append(t)
+        return real(t)
+
+    for info in pkgutil.iter_modules(critforge.__path__):
+        mod = import_module(f"critforge.{info.name}")
+        if getattr(mod, "tentacles", None) is real:
+            monkeypatch.setattr(mod, "tentacles", counting)
+    return calls

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from bruteforce import fire_simulation, minor_gcd, small_solution
 from corpus import (
     adjacency_map,
+    count_tentacle_walks,
     all_trees,
     cycle_graph,
     fixture_graph,
@@ -256,6 +257,25 @@ def test_reduce_support_on_a_branching_tree():
         x = equivalent(t, s.d, delta, reduced)
         assert x is not None
         assert fire_simulation(adjacency_map(t), s.d, delta, x) == reduced
+
+
+def test_reduce_support_walks_tentacles_at_most_twice(monkeypatch):
+    rng = random.Random(1616)
+    for n in (30, 100, 200):
+        t = random_name_tree(rng, n)
+        s = laplacian_structure(t)
+        delta = {v: rng.randint(-3, 3) for v in t.vertices}
+        calls = count_tentacle_walks(monkeypatch)
+        dec = starlike_decomposition(t)
+        try:
+            reduce_support(t, s.d, delta, dec)
+        except AssertionError as exc:
+            # only the known leaf-postcondition defect; the walks still count
+            line = traceback.extract_tb(exc.__traceback__)[-1].line
+            assert line.startswith(("assert all(v in allowed", "assert t.vertex_count == 1"))
+        monkeypatch.undo()
+        assert len(dec.pieces) >= n // 10
+        assert 1 <= len(calls) <= 2, (n, len(dec.pieces), len(calls))
 
 
 def test_clearable_known_answers():

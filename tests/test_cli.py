@@ -8,13 +8,17 @@ emitted text is deterministic.
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import random_name_tree
+import critforge
 from critforge import (
     ArithmeticalStructure, cli, extend_at, fire, full_divisor, mergestar, treedecomp,
 )
@@ -412,6 +416,9 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         ("construct", "--group", "4,2"),
         ("construct", "--group", "abc"),
         ("construct", "--group", "4", "--beta", "1"),  # --beta without --tree
+        ("construct", "--group", "3", "--prongs", "2", "--beta", "1"),
+        ("construct", "--group", "6", "--tree", fixture_path("t1"), "--beta", "0",
+         "--prongs", "5"),
         ("enumerate", "--input", fixture_path("t1"), "--r-bound", "0"),
     ]
     for argv in cases:
@@ -438,6 +445,56 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert code == 2
     code, _, _ = invoke(capsys, "frobnicate")
     assert code == 2
+
+
+@pytest.mark.parametrize("text", [" 1_0 ", "1_0", "\u0661\u0662", " 12", "12 ", "+-3", "0x1f"])
+def test_integers_must_be_plain_ascii_decimals(capsys, tmp_path, text):
+    doc = write_doc(tmp_path, "star.json", {
+        "vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]],
+        "r": {"a": text, "b": "1", "c": "1"},
+    })
+    code, out, err = invoke(capsys, "group", "--input", doc)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: r[a]:") and "is not a decimal integer" in err
+    code, _, err = invoke(capsys, "divisor", "--input", fixture_path("c4_example"),
+                          "--chips", json.dumps({"v1": text}), "--op", "degree")
+    assert code == 2 and err.startswith("usage error: --chips[v1]:")
+    code, _, err = invoke(capsys, "construct", "--group", "6", "--prongs", text)
+    assert code == 2 and "is not a decimal integer" in err
+
+
+def test_group_entries_must_be_plain_ascii_decimals(capsys):
+    # spaces around a comma-separated entry are list syntax, not the entry's
+    for text in ("1_2", "\u0661\u0662", " 1_0 ", "2,1_2", "0x1f", "+ 2"):
+        code, out, err = invoke(capsys, "construct", "--group", text)
+        assert (code, out) == (2, ""), text
+        assert err.startswith("usage error: --group entry:"), text
+    assert invoke_ok(capsys, "construct", "--group", " 2, 6 ")["group"] == {
+        "invariant_factors": [2, 6], "order": 12}
+
+
+def test_plain_decimals_keep_their_signs_and_the_digit_limit(capsys):
+    got = invoke_ok(
+        capsys, "divisor", "--input", fixture_path("fig3_broom"),
+        "--chips", json.dumps({"v2": "+1", "v9": "-18"}), "--op", "degree",
+    )
+    assert got == {"degree": 0}
+    code, _, err = invoke(capsys, "construct", "--group", HUGE)
+    assert code == 2
+    assert err.startswith("usage error: --group entry:")
+    assert "5001 digits" in err and len(err) < 200
+
+
+def test_module_entry_point_matches_run(capsys):
+    argv = ["iota", "--input", fixture_path("t1")]
+    want = invoke_ok(capsys, *argv)
+    src = str(Path(critforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-m", "critforge.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == want
 
 
 def test_domain_errors_exit_one(capsys, tmp_path):

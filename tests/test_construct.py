@@ -10,6 +10,7 @@ from math import gcd
 import pytest
 
 from corpus import (
+    count_tentacle_walks,
     fixture_graph,
     fixture_tree,
     running_example_tree,
@@ -219,6 +220,19 @@ def test_realization_builds_one_decomposition(monkeypatch):
     assert critical_group(out, s) == target
 
 
+def test_realization_walks_tentacles_at_most_twice(monkeypatch):
+    rng = random.Random(1616)
+    for n in (30, 100, 200):
+        t = random_name_tree(rng, n)
+        pieces = len(starlike_decomposition(t).pieces)
+        assert pieces >= n // 10
+        for beta in (0, iota(t)):
+            calls = count_tentacle_walks(monkeypatch)
+            realize_on_subdivision(t, AbelianGroup((2, 6)), beta)
+            monkeypatch.undo()
+            assert 1 <= len(calls) <= 2, (n, beta, pieces, len(calls))
+
+
 def test_quotient_route_sees_constructed_structures(monkeypatch):
     for m in (2, 12, 60, 175):
         target = AbelianGroup((m,))
@@ -228,12 +242,13 @@ def test_quotient_route_sees_constructed_structures(monkeypatch):
     pieces = []
     real = construct._realize_piece
 
-    def recording(piece, merge_leaf, target, taken):
-        grown, r = real(piece, merge_leaf, target, taken)
+    def recording(piece, tens, merge_leaf, target, taken):
+        edges, r = real(piece, tens, merge_leaf, target, taken)
+        grown = build_tree(edges)
         s = structure_from_r(grown, r)
         assert s.r == r
         pieces.append((grown, s, target))
-        return grown, r
+        return edges, r
 
     monkeypatch.setattr(construct, "_realize_piece", recording)
     rng = random.Random(31)
@@ -260,10 +275,10 @@ def realize_recording(monkeypatch, t, target, beta):
         decs.append(real_dec(t, prefer))
         return decs[-1]
 
-    def piece_recording(piece, merge_leaf, target, taken):
-        grown, r = real_piece(piece, merge_leaf, target, taken)
-        pieces.append((grown, merge_leaf, r))
-        return grown, r
+    def piece_recording(piece, tens, merge_leaf, target, taken):
+        edges, r = real_piece(piece, tens, merge_leaf, target, taken)
+        pieces.append((build_tree(edges), merge_leaf, r))
+        return edges, r
 
     with monkeypatch.context() as m:
         m.setattr(construct, "starlike_decomposition", dec_recording)

@@ -152,6 +152,34 @@ def test_decomposition_matches_the_reference_on_random_name_trees():
         )
 
 
+def assert_pieces_carry_their_tentacles(t):
+    """dec.tentacles(i) against a fresh walk of piece i, merge leaf left out."""
+    for prefer in ("lowest", "highest"):
+        dec = starlike_decomposition(t, prefer=prefer)
+        k = len(dec.pieces)
+        for i, piece in enumerate(dec.pieces):
+            leaf = dec.merge_leaf(i) if i < len(dec.splittings) else None
+            want = tuple(ten for ten in tentacles(piece) if ten.leaf != leaf)
+            assert dec.tentacles(i) == dec.tentacles(i - k) == want
+        for sp in dec.splittings:
+            assert sp.piece.branch_vertices == (sp.center,)
+            assert {ten.attachment for ten in sp.tentacles} == {sp.center}
+        with pytest.raises(IndexError):
+            dec.tentacles(k)
+
+
+def test_pieces_carry_their_tentacles_on_every_small_shape():
+    for t in all_trees(8):
+        assert_pieces_carry_their_tentacles(t)
+
+
+def test_pieces_carry_their_tentacles_on_random_name_trees():
+    rng = random.Random(1616)
+    for n in (10, 20, 40, 80, 160, 300):
+        for _ in range(3):
+            assert_pieces_carry_their_tentacles(random_name_tree(rng, n))
+
+
 def test_decomposition_matches_the_reference_where_star_names_are_taken():
     # vertex k is named "v" and k stars, so each fresh "c*" must step
     # past a vertex of the piece, of the remainder, or of an earlier piece
