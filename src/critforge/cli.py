@@ -15,7 +15,7 @@ import re
 import sys
 from importlib import resources
 from math import gcd
-from typing import Any, Mapping
+from typing import Any, Mapping, NoReturn
 
 from .arithstruct import (
     ArithmeticalStructure,
@@ -444,8 +444,15 @@ def fixture_path(name: str) -> str:
         return str(p)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad flags exit 2 with ``usage error: ...``; subparsers inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"usage error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="critforge",
         description="Arithmetical structures, chip firing, and critical groups on trees.",
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Iterator
 
 from .arithstruct import (
     ArithmeticalStructure,
@@ -20,8 +21,8 @@ from .arithstruct import (
     structure_from_r,
 )
 from .exactlinalg import AbelianGroup
-from .graphcore import Tentacle, Tree, build_tree, fresh_name, subdivide
-from .treedecomp import InternalInconsistency, iota, starlike_decomposition
+from .graphcore import Tentacle, Tree, build_tree, fresh_name
+from .treedecomp import InternalInconsistency, TwoMatchingTable, iota, starlike_decomposition
 
 
 class ConstructError(Exception):
@@ -194,6 +195,21 @@ def _suppress_fresh(big: Tree, original: Tree) -> bool:
     return Tree(adj) == original
 
 
+def _separations(t: Tree) -> Iterator[tuple[str, str, str, int]]:
+    """Separate the branch pairs of ``t`` in ``t.edges()`` order, yielding each
+    pair u, v, the vertex x put between them, named as by ``subdivide``, and
+    the irregularity so far.  A fresh vertex has degree two: it makes no
+    branch pair and keeps the leaves, so one table serves every step."""
+    table, taken = TwoMatchingTable(t), set(t.vertices)
+    fixed = len(t.leaves) - 2 - t.edge_count
+    pairs = [(u, v) for u, v, _ in t.edges() if t.degree(u) >= 3 and t.degree(v) >= 3]
+    for k, (u, v) in enumerate(pairs, 1):
+        x = fresh_name(f"{u}.{v}.1", taken)
+        taken.add(x)
+        table.separate(u, v, x)
+        yield u, v, x, fixed - k + table.nu2
+
+
 def realize_on_subdivision(t: Tree, target: AbelianGroup, beta: int,
                            ) -> tuple[Tree, ArithmeticalStructure]:
     """A structure with the given group on a subdivision of ``t``.
@@ -203,8 +219,10 @@ def realize_on_subdivision(t: Tree, target: AbelianGroup, beta: int,
     Adjacent branch vertices are separated until the count lands on
     ``beta``, then each starlike piece receives a broom labelling
     carrying its share of the invariant factors, and the pieces are
-    glued back along the original tree by relabelling.  The subdivision
-    relation, the final irregularity, and the critical group are checked once.
+    glued back along the original tree by relabelling.  The separation
+    costs one 2-matching DP on ``t``, O(depth) per separated pair, and
+    one build of the grown tree.  The subdivision relation, the final
+    irregularity, and the critical group are checked once.
     """
     base_iota = iota(t)
     if not isinstance(beta, int) or not 0 <= beta <= base_iota:
@@ -219,24 +237,20 @@ def realize_on_subdivision(t: Tree, target: AbelianGroup, beta: int,
             )
         return t, laplacian_structure(t)
 
-    # Fresh vertices have degree two and original names keep their order,
-    # so the lowest branch pair left in the grown tree is the next one here.
-    pairs = iter([(u, v) for u, v, _ in t.edges() if t.degree(u) >= 3 and t.degree(v) >= 3])
-    cur, cnt = t, base_iota
+    cnt, steps, split = base_iota, _separations(t), {}
     while cnt != beta:
         # Separating a branch pair drops the count by at most one and
-        # never raises it, and each pass removes one pair, so the loop
-        # walks through beta exactly before the pairs run out.
-        pair = next(pairs, None)
-        if pair is None:
+        # never raises it, so the loop walks through beta exactly before
+        # the pairs run out.
+        u, v, x, after = next(steps, (None,) * 4)
+        if u is None:
             raise InternalInconsistency("no adjacent branch vertices left to separate")
-        grown = subdivide(cur, pair, 2)
-        after = iota(grown)
         if after not in (cnt, cnt - 1):
             raise InternalInconsistency(
                 f"separating one branch pair moved the count {cnt} -> {after}"
             )
-        cur, cnt = grown, after
+        split[u, v], cnt = [(u, x), (x, v)], after
+    cur = build_tree(e for u, v, _ in t.edges() for e in split.get((u, v), [(u, v)])) if split else t
 
     dec = starlike_decomposition(cur)
     caps = [max(len(p.leaves) - 2, 0) for p in dec.pieces]

@@ -212,37 +212,60 @@ def iota(t: Tree) -> int:
 def two_matching_number(t: Tree) -> int:
     """Largest edge set using every vertex at most twice.
 
-    Computed by a rooted dynamic program; each vertex tracks its best
-    totals with capacity 2 or capacity 1 left toward its parent.
+    A rooted dynamic program.  Below v, ``full[v]`` is the best total
+    and ``capped[v]`` the best that leaves v one edge for its parent;
+    also taking the edge to a child c gains ``1 + capped[c] - full[c]``.
+    That gain is 0 or 1, because capped <= full <= capped + 1 at every
+    vertex.  Proof from the leaves up: at a leaf both are 0.  If it
+    holds at every child of v, each gain is 0 or 1, so with ``base`` the
+    sum of the children's ``full`` and ``ones`` the number of gains of
+    1, full = base + min(ones, 2) and capped = base + min(ones, 1),
+    which differ by 0 or 1.  So ``TwoMatchingTable`` keeps only
+    ``base`` and ``ones`` per vertex, and sorts nothing.
     """
-    if t.vertex_count == 1:
-        return 0
-    root = t.leaves[0]
-    seen = {root}
-    order = [root]
-    parent: dict[str, str | None] = {root: None}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in t.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                parent[w] = v
-                order.append(w)
-                stack.append(w)
+    return TwoMatchingTable(t).nu2 if t.vertex_count > 1 else 0
 
-    full: dict[str, int] = {}
-    capped: dict[str, int] = {}
-    for v in reversed(order):
-        kids = [w for w in t.neighbors(v) if parent.get(w) == v]
-        base = sum(full[c] for c in kids)
-        # gain of also taking the edge v-c: the child then loses one slot
-        gains = sorted((1 + capped[c] - full[c] for c in kids), reverse=True)
-        best2 = base + sum(x for x in gains[:2] if x > 0)
-        best1 = base + sum(x for x in gains[:1] if x > 0)
-        full[v] = best2
-        capped[v] = best1
-    return full[root]
+
+class TwoMatchingTable:
+    """``two_matching_number``'s table, rooted at the first leaf.  ``separate``
+    walks up from the subdivided edge until a vertex's share is unchanged."""
+
+    def __init__(self, t: Tree):
+        self.root = t.leaves[0]
+        self.parent: dict[str, str | None] = {self.root: None}
+        order = [self.root]
+        for v in order:
+            for w in t.neighbors(v):
+                if w not in self.parent:
+                    self.parent[w] = v
+                    order.append(w)
+        self.base = dict.fromkeys(order, 0)
+        self.ones = dict.fromkeys(order, 0)
+        for v in reversed(order[1:]):
+            full, gain = self._share(v)
+            self.base[self.parent[v]] += full
+            self.ones[self.parent[v]] += gain
+
+    @property
+    def nu2(self) -> int:
+        return self._share(self.root)[0]
+
+    def _share(self, v: str) -> tuple[int, int]:
+        """What v adds to its parent's ``base`` and ``ones``."""
+        return self.base[v] + min(self.ones[v], 2), int(self.ones[v] < 2)
+
+    def separate(self, u: str, v: str, x: str) -> None:
+        """Put the new vertex x on the edge u-v."""
+        c = v if self.parent[v] == u else u
+        old = self._share(c)
+        self.parent[x], self.parent[c] = self.parent[c], x
+        self.base[x], self.ones[x] = old
+        c = x
+        while (p := self.parent[c]) is not None and (new := self._share(c)) != old:
+            old_p = self._share(p)
+            self.base[p] += new[0] - old[0]
+            self.ones[p] += new[1] - old[1]
+            c, old = p, old_p
 
 
 def invariant_factor_bound(t: Tree) -> int:

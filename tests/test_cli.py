@@ -420,6 +420,11 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         ("construct", "--group", "6", "--tree", fixture_path("t1"), "--beta", "0",
          "--prongs", "5"),
         ("enumerate", "--input", fixture_path("t1"), "--r-bound", "0"),
+        # argparse's own failures: a bad integer, an unknown subcommand,
+        # a missing required flag
+        ("construct", "--group", "6", "--tree", fixture_path("t1"), "--beta", "1_0"),
+        ("frobnicate",),
+        ("group",),
     ]
     for argv in cases:
         code, _, err = invoke(capsys, *argv)
@@ -440,11 +445,10 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert code == 2
     assert err.startswith("usage error:")
 
-    # argparse failures share the exit code.
-    code, _, _ = invoke(capsys)
+    # argparse failures share the exit code and the prefix.
+    code, _, err = invoke(capsys)
     assert code == 2
-    code, _, _ = invoke(capsys, "frobnicate")
-    assert code == 2
+    assert err.startswith("usage error:")
 
 
 @pytest.mark.parametrize("text", [" 1_0 ", "1_0", "\u0661\u0662", " 12", "12 ", "+-3", "0x1f"])
@@ -533,6 +537,9 @@ def test_help_exits_zero(capsys):
     code, out, _ = invoke(capsys, "--help")
     assert code == 0
     assert "usage" in out
+    code, out, _ = invoke(capsys, "construct", "--help")
+    assert code == 0
+    assert out.startswith("usage: critforge construct")
 
 
 # Past the interpreter's 4300-digit limit on int <-> str conversion.

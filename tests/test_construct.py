@@ -1,6 +1,7 @@
 """Brooms and subdivision realizations hitting prescribed groups."""
 
 import ast
+import hashlib
 import importlib
 import inspect
 import pkgutil
@@ -10,6 +11,7 @@ from math import gcd
 import pytest
 
 from corpus import (
+    all_trees,
     count_tentacle_walks,
     fixture_graph,
     fixture_tree,
@@ -19,7 +21,7 @@ from corpus import (
     star_tree,
 )
 import critforge
-from critforge import construct, mergestar, treedecomp
+from critforge import construct, graphcore, mergestar, treedecomp
 from critforge import (
     AbelianGroup,
     BetaOutOfRange,
@@ -30,6 +32,7 @@ from critforge import (
     broom_with_group,
     build_tree,
     critical_group,
+    has_adjacent_branch_vertices,
     iota,
     laplacian_structure,
     merge_structures,
@@ -39,6 +42,7 @@ from critforge import (
     starlike_critical_group,
     starlike_decomposition,
     structure_from_r,
+    subdivide,
 )
 
 
@@ -367,3 +371,141 @@ def test_construction_checks_survive_optimized_mode():
     for mod in mods:
         tree = ast.parse(inspect.getsource(mod))
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), mod
+
+
+def separation_by_subdividing(t):
+    """The reference: subdivide each branch pair of ``t`` in edge order
+    and recount the whole grown tree after every step."""
+    cur, out = t, []
+    for u, v, _ in t.edges():
+        if t.degree(u) >= 3 and t.degree(v) >= 3:
+            grown = subdivide(cur, (u, v), 2)
+            (x,) = set(grown.vertices) - set(cur.vertices)
+            cur = grown
+            count = iota(cur)
+            assert starlike_decomposition(cur).irregular_count == count
+            out.append((u, v, x, count))
+    return out
+
+
+def assert_separation_matches_the_reference(t):
+    got = list(construct._separations(t))
+    assert got == separation_by_subdividing(t), t
+    counts = [iota(t)] + [count for *_, count in got]
+    assert all(b in (a, a - 1) for a, b in zip(counts, counts[1:])), counts
+
+
+# the branch pairs a-b.c and a.b-c both name their new vertex a.b.c.1
+PAIRS_SHARING_A_FRESH_NAME = build_tree([
+    ("a", "a.b"), ("a", "b.c"), ("a.b", "c"), ("a", "l1"), ("a.b", "l2"),
+    ("b.c", "l3"), ("b.c", "l4"), ("c", "l5"), ("c", "l6"),
+])
+
+
+def test_separation_counts_match_repeated_subdivision_on_small_shapes():
+    shapes = [t for t in all_trees(10) if has_adjacent_branch_vertices(t)]
+    assert len(shapes) >= 50
+    shapes.append(PAIRS_SHARING_A_FRESH_NAME)
+    for t in shapes:
+        assert_separation_matches_the_reference(t)
+
+
+def test_separation_counts_match_repeated_subdivision_on_random_name_trees():
+    rng = random.Random(1718)
+    steps = 0
+    for n in range(10, 301, 10):
+        t = random_name_tree(rng, n)
+        if n % 20 == 0:
+            t = clash_renamed(rng, t)
+        assert_separation_matches_the_reference(t)
+        steps += len(list(construct._separations(t)))
+    assert steps >= 200
+
+
+def test_separation_subdivides_nothing_and_runs_three_dp_tables(monkeypatch):
+    tables, subdivisions = [], []
+    real_table = treedecomp.TwoMatchingTable.__init__
+    real_subdivide = graphcore.subdivide
+
+    def table_counting(self, t):
+        tables.append(t)
+        real_table(self, t)
+
+    def subdivide_counting(*args):
+        subdivisions.append(args)
+        return real_subdivide(*args)
+
+    monkeypatch.setattr(treedecomp.TwoMatchingTable, "__init__", table_counting)
+    for mod in (critforge, graphcore, construct):
+        monkeypatch.setattr(mod, "subdivide", subdivide_counting, raising=False)
+    t = random_name_tree(random.Random(1600), 1600)
+    top = iota(t)
+    assert top >= 100
+    target = AbelianGroup((6, 6, 12))
+    for beta, runs in ((0, 3), (top, 2)):
+        tables.clear()
+        out, s = realize_on_subdivision(t, target, beta)
+        assert subdivisions == []
+        # the base iota, the separation when beta is below it, iota(out)
+        assert len(tables) == runs
+        assert tables[0] is t and tables[-1] is out
+
+
+def clash_renamed(rng, t):
+    """``t`` with one leaf renamed to the name that separating its first
+    branch pair would invent."""
+    pairs = [(u, v) for u, v, _ in t.edges() if t.degree(u) >= 3 and t.degree(v) >= 3]
+    if not pairs:
+        return t
+    u, v = pairs[0]
+    w = rng.choice([x for x in t.leaves if x not in (u, v)])
+    name = f"{u}.{v}.1"
+    return build_tree([(name if a == w else a, name if b == w else b) for a, b, _ in t.edges()])
+
+
+def golden_cases():
+    """Seeded (tree, target, beta) cases: random-name trees, some with a
+    leaf named as a fresh vertex would be, and the hand-made clashes."""
+    rng = random.Random(1717)
+    trees = [
+        build_tree([("a", "b"), ("a", "x1"), ("a", "x2"), ("a", "m"),
+                    ("m", "a.b.1"), ("m", "q")]),
+        build_tree([("a", "b"), ("a", "x1"), ("a", "x2"), ("b", "a.b.1"),
+                    ("b", "a.b.1.2"), ("a.b.1", "c"), ("a.b.1", "a.b.1.3")]),
+        PAIRS_SHARING_A_FRESH_NAME,
+        fixture_tree("t1"), fixture_tree("t2"), running_example_tree(),
+    ]
+    for i in range(110):
+        t = random_name_tree(rng, rng.randint(12, 150))
+        trees.append(clash_renamed(rng, t) if i % 3 == 0 else t)
+    for t in trees:
+        top = iota(t)
+        for beta in sorted({0, max(0, top - 2), top}):
+            factors = []
+            for _ in range(rng.randint(0, 3)):
+                factors.append((factors[-1] if factors else 1) * rng.choice((2, 3, 5, 6)))
+            yield t, AbelianGroup(tuple(factors)), beta
+
+
+def realization_record(t, target, beta):
+    try:
+        out, s = realize_on_subdivision(t, target, beta)
+    except ConstructError as exc:
+        return type(exc).__name__
+    return (out.edges(), sorted(s.r.items()), sorted(s.d.items()))
+
+
+# SHA-256 of every golden case's (edges, r, d), or its exception's name,
+# as computed when each separation step still subdivided a whole copy of
+# the tree; any change to fresh names or to the order of choices shows here
+GOLDEN_REALIZATIONS = "91305b32115868077eb71dd30040f6d512882ce320e8024b6311f5363a0de40a"
+
+
+def test_realizations_match_the_golden_digest():
+    digest = hashlib.sha256()
+    cases = 0
+    for t, target, beta in golden_cases():
+        digest.update(repr(realization_record(t, target, beta)).encode())
+        cases += 1
+    assert cases >= 300
+    assert digest.hexdigest() == GOLDEN_REALIZATIONS
