@@ -46,8 +46,8 @@ class ArithmeticalStructure:
     d: dict[str, int]
 
     def __post_init__(self) -> None:
-        self.r = {v: int(x) for v, x in self.r.items()}
-        self.d = {v: int(x) for v, x in self.d.items()}
+        self.r = _integers(self.r, "r")
+        self.d = _integers(self.d, "d")
 
     def r_vector(self) -> tuple[int, ...]:
         return tuple(self.r[v] for v in self.graph.vertices)
@@ -58,6 +58,14 @@ class ArithmeticalStructure:
     @property
     def is_laplacian(self) -> bool:
         return all(x == 1 for x in self.r.values())
+
+
+def _integers(values: Mapping[str, int], label: str) -> dict[str, int]:
+    """A copy of ``values``, refusing any value that is not an int (or is a bool)."""
+    for v, x in values.items():
+        if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
+            raise ArithStructError(f"{label}({v}) = {x!r} is not an integer")
+    return dict(values)
 
 
 def _require_values(g: Graph, values: Mapping[str, int], label: str) -> None:
@@ -77,7 +85,7 @@ def _decimal(x: int) -> str:
 
 def _neighbor_sum(g: Graph, v: str, r: Mapping[str, int]) -> int:
     """The sum of r over the neighbors of v, with edge multiplicity."""
-    return sum(g.multiplicity(v, w) * r[w] for w in g.neighbors(v))
+    return sum(m * r[w] for w, m in g.incident(v))
 
 
 def validate(g: Graph, d: Mapping[str, int], r: Mapping[str, int]) -> tuple[bool, list[str]]:
@@ -116,7 +124,7 @@ def structure_from_r(g: Graph, r: Mapping[str, int]) -> ArithmeticalStructure:
     such vertex in canonical order.
     """
     _require_values(g, r, "r")
-    vals = {v: int(r[v]) for v in g.vertices}
+    vals = _integers({v: r[v] for v in g.vertices}, "r")
     for v in g.vertices:
         if vals[v] < 1:
             raise ArithStructError(f"r({v}) = {_decimal(vals[v])} is not positive")
@@ -165,7 +173,7 @@ def _sparse_laplacian(g: Graph, d: Mapping[str, int],
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, dict[int, int]] = {i: {} for i in range(g.vertex_count)}
     for i, v in enumerate(g.vertices):
-        row = {index[w]: -g.multiplicity(v, w) for w in g.neighbors(v)}
+        row = {index[w]: -m for w, m in g.incident(v)}
         if d[v]:
             row[i] = d[v]
         rows[i] = row
@@ -317,7 +325,7 @@ def extend_at(g: Graph, s: ArithmeticalStructure, v: str) -> tuple[Graph, Arithm
     if not g.has_vertex(v):
         raise UnknownVertex(f"no vertex {v!r}")
     leaf = fresh_name(f"{v}+", g.vertices)
-    adj = {u: {w: g.multiplicity(u, w) for w in g.neighbors(u)} for u in g.vertices}
+    adj = {u: dict(g.incident(u)) for u in g.vertices}
     adj[v][leaf] = 1
     adj[leaf] = {v: 1}
     g2 = Tree(adj) if isinstance(g, Tree) else Graph(adj)

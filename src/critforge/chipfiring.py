@@ -54,8 +54,8 @@ def fire(g: Graph, d: Mapping[str, int], delta: Mapping[str, int], v: str,
     if not g.has_vertex(v):
         raise UnknownVertex(f"no vertex {v!r}")
     out[v] -= times * _diagonal(g, d, v)
-    for w in g.neighbors(v):
-        out[w] += times * g.multiplicity(v, w)
+    for w, m in g.incident(v):
+        out[w] += times * m
     return out
 
 
@@ -86,7 +86,7 @@ def _check_witness(g: Graph, d: Mapping[str, int], x: Mapping[str, int],
                    rhs: Sequence[int]) -> None:
     """Raise unless L x == rhs, summed over each vertex's neighbours."""
     for v, want in zip(g.vertices, rhs):
-        got = int(d[v]) * x[v] - sum(g.multiplicity(v, w) * x[w] for w in g.neighbors(v))
+        got = int(d[v]) * x[v] - sum(m * x[w] for w, m in g.incident(v))
         if got != want:
             raise InternalInconsistency(
                 f"firing vector moves {got} chips at {v}, not {want}"

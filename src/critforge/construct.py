@@ -178,12 +178,15 @@ def _realize_piece(piece: Tree, tens: tuple[Tentacle, ...], merge_leaf: str | No
 
 
 def _suppress_fresh(big: Tree, original: Tree) -> bool:
-    """Does contracting the non-original degree-two vertices give back the tree?"""
+    """Does contracting the non-original degree-two vertices give back the tree?
+
+    Contracting one keeps every other vertex's degree, and on a tree the
+    order of the contractions cannot change the result."""
     fresh = set(big.vertices) - set(original.vertices)
     if any(big.degree(v) != 2 for v in fresh):
         return False
     adj = {v: {w: 1 for w in big.neighbors(v)} for v in big.vertices}
-    for f in sorted(fresh):
+    for f in fresh:
         a, b = sorted(adj[f])
         del adj[a][f]
         del adj[b][f]

@@ -70,6 +70,7 @@ def enumerate_structures(t: Tree, config: EnumerationConfig | None = None,
     if n == 1:
         return [structure_from_r(t, {t.vertices[0]: 1})]
 
+    nbrs = {v: t.neighbors(v) for v in t.vertices}
     root = min(t.vertices, key=lambda v: (-t.degree(v), v))
     # depth-first order, leaf children last so residue pinning kicks in early
     order: list[str] = []
@@ -79,7 +80,7 @@ def enumerate_structures(t: Tree, config: EnumerationConfig | None = None,
     while stack:
         v = stack.pop()
         order.append(v)
-        kids = [w for w in t.neighbors(v) if w not in seen]
+        kids = [w for w in nbrs[v] if w not in seen]
         kids.sort(key=lambda w: (t.degree(w) == 1, w), reverse=True)
         for w in kids:
             seen.add(w)
@@ -89,47 +90,43 @@ def enumerate_structures(t: Tree, config: EnumerationConfig | None = None,
 
     # the step at which each vertex's whole neighborhood becomes known
     complete_at: dict[str, int] = {
-        u: max(pos[w] for w in (u, *t.neighbors(u))) for u in t.vertices
+        u: max(pos[w] for w in (u, *nbrs[u])) for u in t.vertices
     }
     checks: list[list[str]] = [[] for _ in range(n)]
     for u, i in complete_at.items():
         checks[i].append(u)
-    pinners: list[list[str]] = [[] for _ in range(n)]
+    # each pinner u of step i, with u's other neighbors, all fixed by then
+    pinners: list[list[tuple[str, tuple[str, ...]]]] = [[] for _ in range(n)]
     for i, v in enumerate(order):
-        for u in t.neighbors(v):
+        for u in nbrs[v]:
             if complete_at[u] == i:
-                pinners[i].append(u)
+                pinners[i].append((u, tuple(w for w in nbrs[u] if w != v)))
+    # a leaf other than the root must divide its parent's value
+    leaf_parent = [parent[v] if t.degree(v) == 1 else None for v in order]
 
     divs = _divisor_table(bound)
     r: dict[str, int] = {}
     found: list[tuple[int, ...]] = []
 
-    def candidates(i: int, v: str) -> list[int]:
-        base: list[int] | range
-        pinned_to_parent = t.degree(v) == 1 and parent[v] is not None
-        if pinned_to_parent:
-            base = divs[r[parent[v]]]  # type: ignore[index]
-        else:
-            base = range(1, bound + 1)
-        residue = []
-        for u in pinners[i]:
-            need = (-sum(r[w] for w in t.neighbors(u) if w != v)) % r[u]
-            residue.append((r[u], need))
+    def candidates(i: int) -> list[int]:
+        p = leaf_parent[i]
+        base = range(1, bound + 1) if p is None else divs[r[p]]
+        residue = [(r[u], (-sum(r[w] for w in rest)) % r[u]) for u, rest in pinners[i]]
         if not residue:
             return list(base)
         m0, a0 = residue[0]
         start = a0 if a0 else m0
         hits = [x for x in range(start, bound + 1, m0)]
-        if pinned_to_parent:
+        if p is not None:
             allowed = set(base)
             hits = [x for x in hits if x in allowed]
         for m, a in residue[1:]:
             hits = [x for x in hits if x % m == a]
         return hits
 
-    def ok_after(i: int, v: str) -> bool:
+    def ok_after(i: int) -> bool:
         for u in checks[i]:
-            total = sum(r[w] for w in t.neighbors(u))
+            total = sum(r[w] for w in nbrs[u])
             if total % r[u]:
                 return False
         return True
@@ -140,9 +137,9 @@ def enumerate_structures(t: Tree, config: EnumerationConfig | None = None,
                 found.append(tuple(r[v] for v in t.vertices))
             return
         v = order[i]
-        for val in candidates(i, v):
+        for val in candidates(i):
             r[v] = val
-            if ok_after(i, v):
+            if ok_after(i):
                 walk(i + 1)
         r.pop(v, None)
 

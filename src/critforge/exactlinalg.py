@@ -328,9 +328,11 @@ class AbelianGroup:
     invariant_factors: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        fs = tuple(int(x) for x in self.invariant_factors)
+        fs = tuple(self.invariant_factors)
         object.__setattr__(self, "invariant_factors", fs)
         for x in fs:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ExactLinalgError(f"invariant factor {x!r} is not an integer")
             if x < 2:
                 raise ValueError(f"invariant factor {x} is below 2")
         for a, b in zip(fs, fs[1:]):
@@ -378,18 +380,27 @@ class AbelianGroup:
 def group_from_orders(orders: Iterable[int]) -> AbelianGroup:
     """The direct sum of cyclic groups Z/n for n in ``orders``.
 
-    Orders need not form a chain; the invariant factors are recovered
-    by a Smith normal form of the diagonal matrix they define.
+    Orders need not form a chain.  Z/a + Z/b is Z/gcd(a, b) + Z/lcm(a, b),
+    so each entry in turn is swapped with the gcd of itself and every
+    later entry it fails to divide, that entry taking the lcm; it then
+    divides all later entries, and the list ends as a divisibility chain.
     """
-    vals = [int(x) for x in orders]
-    for x in vals:
+    vals = []
+    for x in orders:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ExactLinalgError(f"cyclic order {x!r} is not an integer")
         if x < 1:
             raise NonpositiveOrder(f"cyclic order {x} is not positive")
-    vals = [x for x in vals if x > 1]
-    if not vals:
-        return AbelianGroup.trivial()
-    diag = smith_normal_form(IntegerMatrix.diagonal(vals)).diagonal
-    return AbelianGroup(tuple(x for x in diag if x > 1))
+        if x > 1:
+            vals.append(x)
+    for i, a in enumerate(vals):
+        for j in range(i + 1, len(vals)):
+            b = vals[j]
+            if b % a:
+                g = gcd(a, b)
+                vals[j] = a // g * b
+                vals[i] = a = g
+    return AbelianGroup(tuple(x for x in vals if x > 1))
 
 
 def quotient_strip(g: AbelianGroup, h: AbelianGroup) -> AbelianGroup:

@@ -2,6 +2,10 @@
 
 Vertices are kept in lexicographic order throughout, so every derived
 object (matrices, vectors, enumerations) has one canonical layout.
+A graph never changes after it is built, so it keeps its degree per
+vertex, edge count, leaves and branch vertices from the pass that
+checks its adjacency; reading them costs a lookup.  Surgery (``wedge``,
+``subdivide``) builds a new graph.
 """
 
 from __future__ import annotations
@@ -42,32 +46,45 @@ class NotATree(GraphError):
     pass
 
 
+def _is_int(x: object) -> bool:
+    """Is x an int and not a bool?"""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class Graph:
     """A finite connected multigraph without loops."""
 
-    __slots__ = ("_order", "_adj", "_index")
+    __slots__ = ("_order", "_adj", "_index", "_deg", "_edge_count", "_leaves", "_branch")
 
     def __init__(self, adjacency: Mapping[str, Mapping[str, int]]):
-        adj: dict[str, dict[str, int]] = {
-            v: dict(nbrs) for v, nbrs in adjacency.items()
-        }
-        if not adj:
+        if not adjacency:
             raise EmptyGraph("graph needs at least one vertex")
-        for v, nbrs in adj.items():
+        deg = {}
+        for v, nbrs in adjacency.items():
             if not isinstance(v, str):
                 raise GraphError(f"vertex identifier {v!r} is not a string")
+            k = 0
             for w, mult in nbrs.items():
                 if v == w:
                     raise LoopEdge(f"loop at {v}")
-                if w not in adj:
-                    raise UnknownVertex(f"edge endpoint {w} missing from vertex set")
-                if not isinstance(mult, int) or mult < 1:
+                try:
+                    back = adjacency[w].get(v)
+                except KeyError:
+                    raise UnknownVertex(f"edge endpoint {w} missing from vertex set") from None
+                # a plain int skips the call
+                if type(mult) is not int and not _is_int(mult) or mult < 1:
                     raise GraphError(f"bad multiplicity {mult!r} on edge ({v}, {w})")
-                if adj[w].get(v) != mult:
+                if back != mult:
                     raise GraphError(f"asymmetric multiplicity on edge ({v}, {w})")
-        self._order = tuple(sorted(adj))
-        self._adj = {v: dict(sorted(adj[v].items())) for v in self._order}
-        self._index = {v: i for i, v in enumerate(self._order)}
+                k += mult
+            deg[v] = k
+        self._order = order = tuple(sorted(adjacency))
+        self._adj = {v: dict(sorted(adjacency[v].items())) for v in order}
+        self._deg = deg
+        self._edge_count = sum(deg.values()) // 2
+        self._leaves = tuple([v for v in order if deg[v] == 1])
+        self._branch = tuple([v for v in order if deg[v] >= 3])
+        self._index = {v: i for i, v in enumerate(order)}
         self._check_connected()
 
     def _check_connected(self) -> None:
@@ -94,7 +111,7 @@ class Graph:
     @property
     def edge_count(self) -> int:
         """Number of edges counted with multiplicity."""
-        return sum(sum(n.values()) for n in self._adj.values()) // 2
+        return self._edge_count
 
     def edges(self) -> list[tuple[str, str, int]]:
         """Sorted list of (u, v, multiplicity) with u < v."""
@@ -115,12 +132,21 @@ class Graph:
             raise UnknownVertex(f"no vertex {v!r}") from None
 
     def degree(self, v: str) -> int:
-        self.index(v)
-        return sum(self._adj[v].values())
+        try:
+            return self._deg[v]
+        except KeyError:
+            raise UnknownVertex(f"no vertex {v!r}") from None
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         self.index(v)
         return tuple(self._adj[v])
+
+    def incident(self, v: str) -> Iterable[tuple[str, int]]:
+        """The (neighbour, multiplicity) pairs of v, neighbours in order."""
+        try:
+            return self._adj[v].items()
+        except KeyError:
+            raise UnknownVertex(f"no vertex {v!r}") from None
 
     def multiplicity(self, u: str, v: str) -> int:
         self.index(u)
@@ -134,11 +160,11 @@ class Graph:
 
     @property
     def leaves(self) -> tuple[str, ...]:
-        return tuple(v for v in self._order if self.degree(v) == 1)
+        return self._leaves
 
     @property
     def branch_vertices(self) -> tuple[str, ...]:
-        return tuple(v for v in self._order if self.degree(v) >= 3)
+        return self._branch
 
     @property
     def is_tree(self) -> bool:
@@ -171,17 +197,18 @@ class Tree(Graph):
     def from_graph(cls, g: Graph) -> "Tree":
         """View a checked graph as a tree; only the edge count is checked.
 
-        The tree shares ``g``'s adjacency, which nothing mutates."""
+        The tree shares ``g``'s adjacency and tables, which nothing mutates."""
         if isinstance(g, cls):
             return g
         t = cls.__new__(cls)
-        t._order, t._adj, t._index = g._order, g._adj, g._index
+        for slot in Graph.__slots__:
+            setattr(t, slot, getattr(g, slot))
         t._check_edge_count()
         return t
 
     @property
     def is_path(self) -> bool:
-        return all(self.degree(v) <= 2 for v in self.vertices)
+        return not self._branch
 
     @property
     def is_starlike(self) -> bool:
@@ -206,7 +233,7 @@ def build_graph(edges: Iterable[Sequence]) -> Graph:
         u, v = str(u), str(v)
         if u == v:
             raise LoopEdge(f"loop at {u}")
-        if not isinstance(mult, int) or mult < 1:
+        if type(mult) is not int and not _is_int(mult) or mult < 1:
             raise GraphError(f"bad multiplicity {mult!r} on edge ({u}, {v})")
         key = (u, v) if u < v else (v, u)
         counts[key] = counts.get(key, 0) + mult

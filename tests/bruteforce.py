@@ -1,9 +1,10 @@
 """Independent brute-force oracles for the test suite.
 
-Nothing in this module imports the package under test. Each function is a
-small, obviously-correct (and mostly exponential-time) reference
-implementation; the tests compare library results against these on inputs
-where the brute force is feasible.
+Each function is a small, obviously-correct (and mostly exponential-time)
+reference implementation; the tests compare library results against these
+on inputs where the brute force is feasible.  Only ``smith_invariant_factors``
+imports the package under test: it keeps the former production route for
+cyclic sums, whose Smith form is itself checked against ``minor_gcd``.
 """
 
 from functools import reduce
@@ -60,6 +61,18 @@ def minor_gcd(rows, k):
             if g == 1:
                 return 1
     return g
+
+
+def smith_invariant_factors(orders):
+    """Invariant factors of the direct sum of Z/n for n in ``orders``, from
+    the Smith normal form of the diagonal matrix of the orders above 1."""
+    from critforge import IntegerMatrix, smith_normal_form
+
+    vals = [x for x in orders if x > 1]
+    if not vals:
+        return ()
+    diag = smith_normal_form(IntegerMatrix.diagonal(vals)).diagonal
+    return tuple(x for x in diag if x > 1)
 
 
 def max_two_matching(edges):

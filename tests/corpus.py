@@ -136,18 +136,24 @@ def only_cyclic_shape(t):
     return True
 
 
-def count_tentacle_walks(monkeypatch):
-    """Count calls of ``graphcore.tentacles`` from anywhere in critforge;
-    returns the list that each call appends its tree to."""
+def count_calls(monkeypatch, home, name):
+    """Count calls of ``home.<name>`` from anywhere in critforge; returns
+    the list that each call appends its first argument to."""
     calls = []
-    real = graphcore.tentacles
+    real = getattr(home, name)
 
-    def counting(t):
-        calls.append(t)
-        return real(t)
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
 
     for info in pkgutil.iter_modules(critforge.__path__):
         mod = import_module(f"critforge.{info.name}")
-        if getattr(mod, "tentacles", None) is real:
-            monkeypatch.setattr(mod, "tentacles", counting)
+        if getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+def count_tentacle_walks(monkeypatch):
+    """Count calls of ``graphcore.tentacles``; returns the list that each
+    call appends its tree to."""
+    return count_calls(monkeypatch, graphcore, "tentacles")

@@ -105,6 +105,27 @@ def test_structure_from_r_divisibility_diagnostic():
         structure_from_r(t, {"p00": 1, "p01": -1, "p02": 1})
 
 
+def test_structure_from_r_takes_exact_integers_only():
+    t = path_tree(3)
+    for bad in (1.5, 1.0, True, "1"):
+        r = {"p00": 1, "p01": bad, "p02": 1}
+        with pytest.raises(ArithStructError, match=r"^r\(p01\) = .* is not an integer"):
+            structure_from_r(t, r)
+
+
+def test_structures_take_exact_integers_only():
+    t = path_tree(2)
+    for label in ("r", "d"):
+        for bad in (1.5, 1.0, True):
+            vals = {"r": {"p00": 1, "p01": 1}, "d": {"p00": 1, "p01": 1}}
+            vals[label]["p00"] = bad
+            with pytest.raises(ArithStructError, match=rf"^{label}\(p00\) = .* is not an integer"):
+                ArithmeticalStructure(graph=t, **vals)
+    r = {"p00": 1, "p01": 1}
+    s = ArithmeticalStructure(graph=t, r=r, d={"p00": 1, "p01": 1})
+    assert s.r == r and s.r is not r
+
+
 def test_structure_from_r_strips_common_factors():
     t = path_tree(4)
     s = structure_from_r(t, {v: 3 for v in t.vertices})

@@ -373,6 +373,53 @@ def test_construction_checks_survive_optimized_mode():
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), mod
 
 
+def repeated_subdivision(rng, t, steps):
+    cur = t
+    for _ in range(steps):
+        u, v, _ = rng.choice(cur.edges())
+        cur = subdivide(cur, (u, v), rng.randint(2, 4))
+    return cur
+
+
+def test_suppressing_fresh_vertices_recovers_every_subdivision():
+    rng = random.Random(31)
+    trees = all_trees(7) + [random_name_tree(rng, n) for n in (5, 20, 60)]
+    for t in trees:
+        assert construct._suppress_fresh(t, t)
+        assert construct._suppress_fresh(repeated_subdivision(rng, t, 6), t)
+
+
+def test_suppressing_fresh_vertices_rejects_a_fresh_vertex_off_degree_two():
+    rng = random.Random(32)
+    for t in [running_example_tree(), random_name_tree(rng, 30)]:
+        big = repeated_subdivision(rng, t, 4)
+        adj = {v: dict(big.incident(v)) for v in big.vertices}
+        (x, *_) = sorted(set(big.vertices) - set(t.vertices))
+        # a fresh leaf hanging off an original vertex has degree one
+        leafy = {**adj, t.vertices[0]: {**adj[t.vertices[0]], "new": 1}, "new": {t.vertices[0]: 1}}
+        assert not construct._suppress_fresh(graphcore.Tree(leafy), t)
+        # a fresh degree-two vertex given a pendant leaf has degree three
+        spiked = {**adj, x: {**adj[x], "spike": 1}, "spike": {x: 1}}
+        assert not construct._suppress_fresh(graphcore.Tree(spiked), t)
+
+
+def test_suppressing_fresh_vertices_rejects_a_subdivision_of_another_tree():
+    rng = random.Random(33)
+    path = build_tree([("a", "b"), ("b", "c"), ("c", "d")])
+    shuffled = build_tree([("a", "c"), ("c", "b"), ("b", "d")])
+    assert not construct._suppress_fresh(repeated_subdivision(rng, shuffled, 3), path)
+    for t in [running_example_tree(), random_name_tree(rng, 40)]:
+        names = list(t.vertices)
+        rng.shuffle(names)
+        other = build_tree([(names[t.index(u)], names[t.index(v)]) for u, v, _ in t.edges()])
+        assert other != t
+        assert not construct._suppress_fresh(repeated_subdivision(rng, other, 5), t)
+        # a subdivision of t minus a leaf lacks an original vertex
+        leaf = t.leaves[0]
+        smaller = build_tree([(u, v) for u, v, _ in t.edges() if leaf not in (u, v)])
+        assert not construct._suppress_fresh(repeated_subdivision(rng, smaller, 5), t)
+
+
 def separation_by_subdividing(t):
     """The reference: subdivide each branch pair of ``t`` in edge order
     and recount the whole grown tree after every step."""

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from critforge import (
     AbelianGroup,
     DimensionMismatch,
+    ExactLinalgError,
     IntegerMatrix,
     NonpositiveOrder,
     NotADirectSummand,
@@ -18,7 +19,7 @@ from critforge import (
     solve_integer,
 )
 
-from bruteforce import det, minor_gcd, small_solution
+from bruteforce import det, minor_gcd, small_solution, smith_invariant_factors
 
 entries = st.integers(min_value=-30, max_value=30)
 
@@ -149,11 +150,47 @@ def test_group_from_orders_ignores_presentation_order(orders):
         assert b % a == 0
 
 
+orders_to_normalise = st.lists(
+    st.one_of(st.integers(1, 10 ** 4), st.integers(2 ** 64, 2 ** 70)), max_size=8
+)
+
+
+@given(orders_to_normalise)
+@settings(max_examples=200, deadline=None)
+def test_group_from_orders_matches_the_smith_route(orders):
+    assert group_from_orders(orders).invariant_factors == smith_invariant_factors(orders)
+
+
+@given(orders_to_normalise, orders_to_normalise)
+@settings(max_examples=60, deadline=None)
+def test_direct_sum_matches_the_smith_route(a, b):
+    g, h = group_from_orders(a), group_from_orders(b)
+    want = smith_invariant_factors(g.invariant_factors + h.invariant_factors)
+    assert g.direct_sum(h).invariant_factors == want
+
+
+def test_group_from_orders_takes_exact_integers_only():
+    for bad in ([2.9, 3], [6.0], [True, 3], ["6"]):
+        with pytest.raises(ExactLinalgError, match="is not an integer"):
+            group_from_orders(bad)
+    with pytest.raises(NonpositiveOrder):
+        group_from_orders([3, 0])
+
+
+def test_abelian_group_takes_exact_integers_only():
+    for bad in ((6.7,), (2, 6.0), (True,), (2, False)):
+        with pytest.raises(ExactLinalgError, match=r"invariant factor .* is not an integer"):
+            AbelianGroup(bad)
+    assert AbelianGroup([2, 6]).invariant_factors == (2, 6)
+
+
 def test_group_from_orders_known_values():
     assert group_from_orders([2, 3]).invariant_factors == (6,)
     assert group_from_orders([324, 324, 18, 3]).invariant_factors == (3, 18, 324, 324)
     assert group_from_orders([]).is_trivial
     assert group_from_orders([1, 1]).is_trivial
+    assert group_from_orders([4, 6, 10]).invariant_factors == (2, 2, 60)
+    assert group_from_orders([12, 8, 1, 3]).invariant_factors == (12, 24)
 
 
 def test_group_invariants_and_operations():

@@ -1,9 +1,18 @@
 """Graph construction, tentacle extraction, and surgery helpers."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import all_trees, path_tree, star_tree, cycle_graph, running_example_tree
+from corpus import (
+    all_trees,
+    cycle_graph,
+    path_tree,
+    random_name_tree,
+    running_example_tree,
+    star_tree,
+)
 from critforge import (
     DisconnectedGraph,
     DuplicateVertex,
@@ -18,7 +27,9 @@ from critforge import (
     UnknownVertex,
     build_graph,
     build_tree,
+    extend_at,
     fresh_name,
+    laplacian_structure,
     path_as_tentacle,
     path_endpoints,
     subdivide,
@@ -56,6 +67,96 @@ def test_graph_constructor_validation():
         Graph({"a": {"b": 1}})
     with pytest.raises(GraphError):
         Graph({"a": {"b": 2}, "b": {"a": 1}})
+
+
+def test_multiplicities_must_be_integers_not_bools():
+    for bad in (True, 1.0, 2.5):
+        with pytest.raises(GraphError, match="bad multiplicity"):
+            build_graph([("a", "b", bad)])
+        with pytest.raises(GraphError, match="bad multiplicity"):
+            Graph({"a": {"b": bad}, "b": {"a": bad}})
+
+
+def recomputed_tables(g):
+    """Every table a graph keeps, recomputed from its edge list alone."""
+    incident = {v: {} for v in g.vertices}
+    for u, v, mult in g.edges():
+        incident[u][v] = mult
+        incident[v][u] = mult
+    degree = {v: sum(nbrs.values()) for v, nbrs in incident.items()}
+    order = sorted(incident)
+    return {
+        "degree": degree,
+        "neighbors": {v: tuple(sorted(incident[v])) for v in order},
+        "incident": {v: sorted(incident[v].items()) for v in order},
+        "leaves": tuple(v for v in order if degree[v] == 1),
+        "branch_vertices": tuple(v for v in order if degree[v] >= 3),
+        "edge_count": sum(mult for _, _, mult in g.edges()),
+        "is_tree": sum(mult for _, _, mult in g.edges()) == len(order) - 1,
+    }
+
+
+def assert_tables_match_the_edges(g):
+    want = recomputed_tables(g)
+    assert g.edges() == sorted(g.edges())
+    assert {v: g.degree(v) for v in g.vertices} == want["degree"]
+    assert {v: g.neighbors(v) for v in g.vertices} == want["neighbors"]
+    assert {v: list(g.incident(v)) for v in g.vertices} == want["incident"]
+    for v in g.vertices:
+        for w, mult in g.incident(v):
+            assert g.multiplicity(v, w) == mult == g.multiplicity(w, v)
+    assert g.leaves == want["leaves"]
+    assert g.branch_vertices == want["branch_vertices"]
+    assert g.edge_count == want["edge_count"]
+    assert g.is_tree == want["is_tree"]
+    if isinstance(g, Tree):
+        assert g.is_path == all(d <= 2 for d in want["degree"].values())
+
+
+def graphs_by_every_route():
+    """Graphs from every constructor and surgery step, trees and not."""
+    rng = random.Random(20261019)
+    trees = all_trees(10) + [random_name_tree(rng, n) for n in (2, 3, 12, 40, 97)]
+    for t in trees:
+        yield t
+        yield Tree({v: dict(t.incident(v)) for v in t.vertices})
+        yield Tree.from_graph(Graph({v: dict(t.incident(v)) for v in t.vertices}))
+        u, v, _ = rng.choice(t.edges())
+        yield subdivide(t, (u, v), rng.randint(2, 4))
+        yield wedge(t, rng.choice(t.vertices), star_tree(3), "leaf01")
+        yield extend_at(t, laplacian_structure(t), rng.choice(t.vertices))[0]
+    for n in (3, 4, 7):
+        c = cycle_graph(n)
+        yield c
+        yield wedge(c, "v1", path_tree(3), "p01")
+        yield extend_at(c, laplacian_structure(c), "v2")[0]
+    doubled = build_graph([("a", "b"), ("b", "c"), ("c", "a"), ("a", "b")])
+    yield doubled
+    yield build_graph([("a", "b", 2)])
+    yield wedge(doubled, "c", star_tree(4), "hub")
+
+
+def test_kept_tables_match_the_edges_on_every_route():
+    count = 0
+    for g in graphs_by_every_route():
+        assert_tables_match_the_edges(g)
+        count += 1
+    assert count > 1000
+
+
+def test_unknown_vertices_raise_from_every_lookup():
+    g = build_graph([("a", "b", 2), ("b", "c")])
+    for lookup in (g.degree, g.neighbors, g.incident, g.index):
+        with pytest.raises(UnknownVertex, match="'z'"):
+            lookup("z")
+    with pytest.raises(UnknownVertex, match="'z'"):
+        g.multiplicity("a", "z")
+    with pytest.raises(UnknownVertex, match="'y'"):
+        g.multiplicity("y", "a")
+    with pytest.raises(UnknownVertex, match="'y'"):
+        g.multiplicity("y", "z")
+    assert g.multiplicity("a", "c") == 0
+    assert list(g.incident("b")) == [("a", 2), ("c", 1)]
 
 
 def test_build_tree_rejects_cycles_and_multi_edges():

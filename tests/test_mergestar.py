@@ -5,8 +5,18 @@ from math import gcd
 
 import pytest
 
-from corpus import fixture_graph, fixture_tree, running_example_tree, path_tree, star_tree
-from critforge import mergestar
+from bruteforce import smith_invariant_factors
+from corpus import (
+    all_trees,
+    count_calls,
+    fixture_graph,
+    fixture_tree,
+    path_tree,
+    running_example_tree,
+    star_tree,
+    sweep_config,
+)
+from critforge import exactlinalg, mergestar
 from critforge import (
     AbelianGroup,
     ArithStructError,
@@ -18,6 +28,7 @@ from critforge import (
     check_merge_additivity,
     critical_group,
     enumerate_structures,
+    group_from_orders,
     laplacian,
     laplacian_structure,
     merge_structures,
@@ -146,6 +157,31 @@ def test_quotient_route_matches_the_matrix_route():
     assert starlike_critical_group(g2, s2) == AbelianGroup((2, 6))
     big = star_tree(5)
     assert starlike_critical_group(big, laplacian_structure(big)).is_trivial
+
+
+def test_only_the_matrix_route_runs_a_smith_form(monkeypatch):
+    t, s = load("fig3_broom")
+    calls = count_calls(monkeypatch, exactlinalg, "smith_normal_form")
+    assert starlike_critical_group(t, s) == AbelianGroup((3, 18))
+    assert AbelianGroup((2, 6)).direct_sum(AbelianGroup((4, 12))) == AbelianGroup((2, 2, 12, 12))
+    assert calls == []
+    assert critical_group(t, s) == AbelianGroup((3, 18))
+    assert len(calls) == 1
+
+
+def test_quotient_sums_match_the_smith_route_on_every_small_starlike_structure():
+    count = 0
+    for t in all_trees(7):
+        if not t.is_starlike:
+            continue
+        for s in enumerate_structures(t, sweep_config(t)):
+            summary = starlike_summary(t, s)
+            r0 = summary.center_value
+            for orders in (summary.leaf_quotients, (r0, r0)):
+                want = smith_invariant_factors(orders)
+                assert group_from_orders(orders).invariant_factors == want, orders
+            count += 1
+    assert count == 11019
 
 
 def _starlike_corpus():
