@@ -46,8 +46,8 @@ class ArithmeticalStructure:
     d: dict[str, int]
 
     def __post_init__(self) -> None:
-        self.r = _integers(self.r, "r")
-        self.d = _integers(self.d, "d")
+        self.r = {v: _integer(x, "r", v) for v, x in self.r.items()}
+        self.d = {v: _integer(x, "d", v) for v, x in self.d.items()}
 
     def r_vector(self) -> tuple[int, ...]:
         return tuple(self.r[v] for v in self.graph.vertices)
@@ -60,12 +60,11 @@ class ArithmeticalStructure:
         return all(x == 1 for x in self.r.values())
 
 
-def _integers(values: Mapping[str, int], label: str) -> dict[str, int]:
-    """A copy of ``values``, refusing any value that is not an int (or is a bool)."""
-    for v, x in values.items():
-        if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
-            raise ArithStructError(f"{label}({v}) = {x!r} is not an integer")
-    return dict(values)
+def _integer(x: int, label: str, v: str, error: type[Exception] = ArithStructError) -> int:
+    """x itself; raises ``error`` naming v unless x is an int, not a bool."""
+    if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
+        raise error(f"{label}({v}) = {x!r} is not an integer")
+    return x
 
 
 def _require_values(g: Graph, values: Mapping[str, int], label: str) -> None:
@@ -124,7 +123,7 @@ def structure_from_r(g: Graph, r: Mapping[str, int]) -> ArithmeticalStructure:
     such vertex in canonical order.
     """
     _require_values(g, r, "r")
-    vals = _integers({v: r[v] for v in g.vertices}, "r")
+    vals = {v: _integer(r[v], "r", v) for v in g.vertices}
     for v in g.vertices:
         if vals[v] < 1:
             raise ArithStructError(f"r({v}) = {_decimal(vals[v])} is not positive")
@@ -157,7 +156,7 @@ def laplacian(g: Graph, d: Mapping[str, int]) -> IntegerMatrix:
     return IntegerMatrix(
         [
             [
-                (int(d[v]) if i == j else 0) - rows[i][j]
+                (_integer(d[v], "d", v) if i == j else 0) - rows[i][j]
                 for j in range(n)
             ]
             for i, v in enumerate(g.vertices)
@@ -185,7 +184,7 @@ def _sparse_laplacian(g: Graph, d: Mapping[str, int],
 _Pivot = tuple[int, int, int, dict[int, int], dict[int, int]]
 
 
-def _unit_pivot_core(g: Graph, d: Mapping[str, int], log: list[_Pivot] | None = None):
+def _unit_pivot_core(g: Graph, d: Mapping[str, int]):
     """Eliminate +-1 entries of diag(d) - A and return what is left, dense.
 
     Pivoting on a unit entry p at (i, j) replaces the matrix by [p] plus
@@ -199,22 +198,23 @@ def _unit_pivot_core(g: Graph, d: Mapping[str, int], log: list[_Pivot] | None = 
     which keeps the fill small.  At most n - 1 pivots are made, so the
     core is at least 1 x 1.
 
-    Given a ``log`` list, each pivot appends ``(i, j, p, prow, pcol)``:
-    the rest of pivot row i as {column: entry} and the rest of pivot
-    column j as {row: entry}, as they stood when the pivot was taken.
+    Returns ``(core, live_rows, live_cols, log)``: the core, its lines
+    as canonical vertex positions, and the pivots in the order taken,
+    each logged as ``(i, j, p, prow, pcol)`` with the rest of pivot row
+    i as {column: entry} and the rest of pivot column j as {row: entry},
+    as they stood when the pivot was taken.
     Row r then lost ``a * p`` times row i for each (r, a) in pcol, so
     replaying that on a right-hand side b, in log order, reduces
     ``L x = b`` to the core on the surviving lines plus one equation
     ``p x[j] + sum(prow[c] x[c]) = b[i]`` per pivot, which determines
-    x[j] from lines pivoted later or kept in the core.  With a log the
-    return value is ``(core, live_rows, live_cols)``, the core's lines as
-    canonical vertex positions; without one it is the core alone.
+    x[j] from lines pivoted later or kept in the core.
     """
     rows, cols = _sparse_laplacian(g, d)
     lines = (rows, cols)
     heap = [(len(row), 0, i) for i, row in rows.items()]
     heap += [(len(col), 1, j) for j, col in cols.items()]
     heapq.heapify(heap)
+    log: list[_Pivot] = []
     budget = g.vertex_count - 1
     while budget and heap:
         count, kind, k = heapq.heappop(heap)
@@ -238,8 +238,7 @@ def _unit_pivot_core(g: Graph, d: Mapping[str, int], log: list[_Pivot] | None = 
             del cols[c][i]
         for r in pcol:
             del rows[r][j]
-        if log is not None:
-            log.append((i, j, p, prow, pcol))
+        log.append((i, j, p, prow, pcol))
         for r, a in pcol.items():
             f = a * p  # a / p, as p is +-1
             row = rows[r]
@@ -258,9 +257,7 @@ def _unit_pivot_core(g: Graph, d: Mapping[str, int], log: list[_Pivot] | None = 
     live_rows = sorted(rows)
     live_cols = sorted(cols)
     core = [[rows[i].get(j, 0) for j in live_cols] for i in live_rows]
-    if log is None:
-        return core
-    return core, live_rows, live_cols
+    return core, live_rows, live_cols, log
 
 
 def critical_group(g: Graph, s: ArithmeticalStructure) -> AbelianGroup:
@@ -278,7 +275,7 @@ def critical_group(g: Graph, s: ArithmeticalStructure) -> AbelianGroup:
     ok, problems = validate(g, s.d, s.r)
     if not ok:
         raise ArithStructError(f"invalid structure: {problems[0]}")
-    core = IntegerMatrix(_unit_pivot_core(g, s.d))
+    core = IntegerMatrix(_unit_pivot_core(g, s.d)[0])
     diag = smith_normal_form(core).diagonal
     zeros = sum(1 for x in diag if x == 0)
     if zeros != 1:
@@ -307,9 +304,9 @@ def tree_order_formula(t: Tree, r: Mapping[str, int]) -> int:
     for v in t.vertices:
         e = t.degree(v) - 2
         if e >= 0:
-            num *= int(r[v]) ** e
+            num *= _integer(r[v], "r", v) ** e
         else:
-            den *= int(r[v]) ** (-e)
+            den *= _integer(r[v], "r", v) ** (-e)
     q, rem = divmod(num, den)
     if rem:
         raise NonIntegralOrder(f"{num} not divisible by {den}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .arithstruct import ArithmeticalStructure, _require_values, _unit_pivot_core
+from .arithstruct import ArithmeticalStructure, _integer, _require_values, _unit_pivot_core
 from .exactlinalg import IntegerMatrix, determinantal_divisor, smith_normal_form, solve_integer
 from .graphcore import Graph, Tentacle, Tree, UnknownVertex, path_as_tentacle
 from .treedecomp import InternalInconsistency, StarlikeDecomposition
@@ -34,34 +34,41 @@ class SizeViolation(ChipFiringError):
 
 def full_divisor(g: Graph, delta: Mapping[str, int]) -> Divisor:
     """Copy a divisor, filling unmentioned vertices with zero chips."""
-    for v in delta:
+    for v, x in delta.items():
         if not g.has_vertex(v):
             raise UnknownVertex(f"divisor mentions unknown vertex {v!r}")
-    return {v: int(delta.get(v, 0)) for v in g.vertices}
+        _integer(x, "chips", v, ChipFiringError)
+    return {v: delta.get(v, 0) for v in g.vertices}
 
 
 def _diagonal(g: Graph, d: Mapping[str, int], v: str) -> int:
-    try:
-        return int(d[v])
-    except KeyError:
-        raise ChipFiringError(f"d labelling lacks vertex {v!r}") from None
+    if v not in d:
+        raise ChipFiringError(f"d labelling lacks vertex {v!r}")
+    return _integer(d[v], "d", v, ChipFiringError)
+
+
+def _move(g: Graph, d: Mapping[str, int], cur: Divisor, v: str, times: int) -> None:
+    """Fire ``times`` times at v on ``cur`` in place, in O(deg v)."""
+    cur[v] -= times * _diagonal(g, d, v)
+    for w, m in g.incident(v):
+        cur[w] += times * m
 
 
 def fire(g: Graph, d: Mapping[str, int], delta: Mapping[str, int], v: str,
          times: int = 1) -> Divisor:
-    """Fire ``times`` times at v; negative counts borrow."""
+    """Fire ``times`` times at v; negative counts borrow.  ``delta`` is
+    copied once, and the move touches only v and its neighbours."""
     out = full_divisor(g, delta)
     if not g.has_vertex(v):
         raise UnknownVertex(f"no vertex {v!r}")
-    out[v] -= times * _diagonal(g, d, v)
-    for w, m in g.incident(v):
-        out[w] += times * m
+    _move(g, d, out, v, _integer(times, "times", v, ChipFiringError))
     return out
 
 
 def divisor_degree(delta: Mapping[str, int], r: Mapping[str, int]) -> int:
     """Total chip count weighted by the r labelling."""
-    return sum(int(r[v]) * int(c) for v, c in delta.items())
+    return sum(_integer(r[v], "r", v, ChipFiringError) * _integer(c, "chips", v, ChipFiringError)
+               for v, c in delta.items())
 
 
 def _core_system(g: Graph, d: Mapping[str, int], b: list[int]):
@@ -72,8 +79,9 @@ def _core_system(g: Graph, d: Mapping[str, int], b: list[int]):
     pivot log that back-substitution needs (see ``_unit_pivot_core``).
     """
     _require_values(g, d, "d")
-    log: list = []
-    core, live_rows, live_cols = _unit_pivot_core(g, {v: int(d[v]) for v in g.vertices}, log)
+    for v in g.vertices:
+        _integer(d[v], "d", v, ChipFiringError)
+    core, live_rows, live_cols, log = _unit_pivot_core(g, d)
     for i, _, p, _, pcol in log:
         bi = b[i]
         if bi:
@@ -86,7 +94,7 @@ def _check_witness(g: Graph, d: Mapping[str, int], x: Mapping[str, int],
                    rhs: Sequence[int]) -> None:
     """Raise unless L x == rhs, summed over each vertex's neighbours."""
     for v, want in zip(g.vertices, rhs):
-        got = int(d[v]) * x[v] - sum(m * x[w] for w, m in g.incident(v))
+        got = _diagonal(g, d, v) * x[v] - sum(m * x[w] for w, m in g.incident(v))
         if got != want:
             raise InternalInconsistency(
                 f"firing vector moves {got} chips at {v}, not {want}"
@@ -170,6 +178,25 @@ def _check_chain(g: Graph, ten: Tentacle) -> None:
             raise ChipFiringError(f"{a} and {b} are not simply adjacent")
 
 
+def _sweep(g: Graph, d: Mapping[str, int], cur: Divisor, fired: Divisor,
+           ten: Tentacle, direction: str) -> None:
+    """``sweep_tentacle`` in place on ``cur``, adding its borrows to ``fired``."""
+    if direction not in ("inward", "outward"):
+        raise ValueError(f"direction must be 'inward' or 'outward', not {direction!r}")
+    _check_chain(g, ten)
+    verts = ten.vertices
+    if direction == "inward":
+        steps = list(zip(verts, verts[1:]))[::-1]
+    else:
+        chain = verts if ten.attachment is None else (ten.attachment, *verts)
+        steps = zip(chain[1:], chain)
+    for at, target in steps:  # borrow at ``at`` until ``target`` is empty
+        amount = cur[target]
+        if amount:
+            _move(g, d, cur, at, -amount)
+            fired[at] -= amount
+
+
 def sweep_tentacle(g: Graph, d: Mapping[str, int], delta: Mapping[str, int],
                    ten: Tentacle, direction: str) -> tuple[Divisor, Divisor]:
     """Concentrate a tentacle's chips at one of its ends.
@@ -179,30 +206,12 @@ def sweep_tentacle(g: Graph, d: Mapping[str, int], delta: Mapping[str, int],
     untouched.  Outward zeroes the attachment (when present) and all
     tentacle vertices except the leaf, pushing everything onto the leaf
     end.  Returns the new divisor and the net firing vector, negative
-    entries meaning borrows.
+    entries meaning borrows.  ``delta`` is copied once; each borrow then
+    touches only the borrowing vertex and its neighbours.
     """
-    if direction not in ("inward", "outward"):
-        raise ValueError(f"direction must be 'inward' or 'outward', not {direction!r}")
-    _check_chain(g, ten)
     cur = full_divisor(g, delta)
-    fired = {v: 0 for v in g.vertices}
-    verts = ten.vertices
-
-    def borrow_to_zero(at: str, target: str) -> None:
-        nonlocal cur
-        amount = cur[target]
-        if amount:
-            cur = fire(g, d, cur, at, -amount)
-            fired[at] -= amount
-
-    if direction == "inward":
-        for idx in range(len(verts) - 1, 0, -1):
-            borrow_to_zero(verts[idx - 1], verts[idx])
-    else:
-        if ten.attachment is not None:
-            borrow_to_zero(verts[0], ten.attachment)
-        for idx in range(1, len(verts)):
-            borrow_to_zero(verts[idx], verts[idx - 1])
+    fired = dict.fromkeys(g.vertices, 0)
+    _sweep(g, d, cur, fired, ten, direction)
     return cur, fired
 
 
@@ -226,7 +235,7 @@ def clearable(g: Graph, d: Mapping[str, int], xs: Sequence[str],
         )
     _require_values(g, d, "d")
     block = IntegerMatrix(
-        [[int(d[x]) if x == y else -g.multiplicity(x, y) for y in ys] for x in xs]
+        [[_diagonal(g, d, x) if x == y else -g.multiplicity(x, y) for y in ys] for x in xs]
     )
     return determinantal_divisor(block, len(xs)) == 1
 
@@ -240,48 +249,36 @@ def reduce_support(t: Tree, d: Mapping[str, int], delta: Mapping[str, int],
     then unwinds back to front, sweeping every parked pile out to a
     leaf.  The result is equivalent to the input and supported on at
     most one more vertex than the sum of the per-piece leaf budgets,
-    every support vertex a leaf.
+    every support vertex a leaf.  ``delta`` is copied once; each move on
+    that copy touches only the vertex fired and its neighbours.
     """
-    cur = full_divisor(t, delta)
-    fired = {v: 0 for v in t.vertices}
-
-    def run(ten: Tentacle, direction: str) -> None:
-        nonlocal cur
-        nxt, f = sweep_tentacle(t, d, cur, ten, direction)
-        cur = nxt
-        for v, x in f.items():
-            fired[v] += x
-
-    def borrow_at(v: str, amount: int) -> None:
-        nonlocal cur
-        if amount:
-            cur = fire(t, d, cur, v, -amount)
-            fired[v] -= amount
-
+    base = full_divisor(t, delta)
+    cur = dict(base)
+    fired = dict.fromkeys(t.vertices, 0)
     k = len(decomposition.pieces)
     allowed = set(t.vertices) if t.vertex_count == 1 else set()
 
-    # forward pass: flatten one tentacle per piece and park the rest
+    # forward pass: park one tentacle per piece on its attachment, by an
+    # inward sweep of the chain that starts at the attachment
     for i in range(k):
         tens = decomposition.tentacles(i)
         if tens:
-            run(tens[0], "inward")
-            borrow_at(tens[0].attachment, cur[tens[0].vertices[0]])
+            chain = Tentacle((tens[0].attachment, *tens[0].vertices), None)
+            _sweep(t, d, cur, fired, chain, "inward")
 
     # a path last piece (or tree) has no tentacles: flatten it onto one end
     last = decomposition.last_piece
     if last.is_path and last.vertex_count > 1:
         end = sorted(last.leaves)[0]
-        run(path_as_tentacle(last, end), "inward")
+        _sweep(t, d, cur, fired, path_as_tentacle(last, end), "inward")
         allowed.add(end)
 
     # backward pass: sweep each parked pile out to its leaves
     for i in range(k - 1, -1, -1):
         for ten in decomposition.tentacles(i)[1:]:
-            run(ten, "outward")
+            _sweep(t, d, cur, fired, ten, "outward")
             allowed.add(ten.leaf)
 
-    base = full_divisor(t, delta)
     _check_witness(t, d, fired, [base[v] - cur[v] for v in t.vertices])
     budget = sum(max(len(p.leaves) - 2, 0) for p in decomposition.pieces) + 1
     support = [v for v in t.vertices if cur[v]]

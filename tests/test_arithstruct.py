@@ -126,6 +126,22 @@ def test_structures_take_exact_integers_only():
     assert s.r == r and s.r is not r
 
 
+@pytest.mark.parametrize("bad", [1.5, True])
+def test_laplacian_takes_exact_integers_only(bad):
+    t = path_tree(3)
+    d = {**laplacian_structure(t).d, "p01": bad}
+    with pytest.raises(ArithStructError, match=rf"^d\(p01\) = {bad!r} is not an integer"):
+        laplacian(t, d)
+
+
+@pytest.mark.parametrize("bad", [1.5, True])
+def test_tree_order_formula_takes_exact_integers_only(bad):
+    t = path_tree(3)
+    r = {"p00": 1, "p01": bad, "p02": 1}
+    with pytest.raises(ArithStructError, match=rf"^r\(p01\) = {bad!r} is not an integer"):
+        tree_order_formula(t, r)
+
+
 def test_structure_from_r_strips_common_factors():
     t = path_tree(4)
     s = structure_from_r(t, {v: 3 for v in t.vertices})
@@ -296,9 +312,11 @@ def test_critical_group_checks_corank_and_tree_order(monkeypatch):
     s = structure_from_r(t, r)
     assert critical_group(t, s).order == tree_order_formula(t, s.r) == 54
     # Feed the checks a wrong core: they raise, not assert.
-    monkeypatch.setattr(arithstruct, "_unit_pivot_core", lambda g, d: [[3, 0], [0, 0]])
+    monkeypatch.setattr(arithstruct, "_unit_pivot_core",
+                        lambda g, d: ([[3, 0], [0, 0]], [0, 1], [0, 1], []))
     with pytest.raises(InternalInconsistency, match="tree_order_formula 54"):
         critical_group(t, s)
-    monkeypatch.setattr(arithstruct, "_unit_pivot_core", lambda g, d: [[54, 0], [0, 1]])
+    monkeypatch.setattr(arithstruct, "_unit_pivot_core",
+                        lambda g, d: ([[54, 0], [0, 1]], [0, 1], [0, 1], []))
     with pytest.raises(RankDefect):
         critical_group(t, s)

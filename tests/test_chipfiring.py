@@ -1,5 +1,6 @@
 """Firing moves, equivalence witnesses, sweeps, and clearability."""
 
+import hashlib
 import itertools
 import random
 import traceback
@@ -13,6 +14,7 @@ from corpus import (
     adjacency_map,
     count_tentacle_walks,
     all_trees,
+    count_calls,
     cycle_graph,
     fixture_graph,
     fixture_tree,
@@ -96,6 +98,24 @@ def test_fire_validation():
         full_divisor(g, {"v9": 1})
     with pytest.raises(ChipFiringError):
         fire(g, {"v1": 3}, C4_DELTA, "v2")
+
+
+@pytest.mark.parametrize("call", [
+    lambda t, d, r, bad: full_divisor(t, {"p01": bad}),
+    lambda t, d, r, bad: fire(t, {**d, "p01": bad}, {}, "p01"),
+    lambda t, d, r, bad: fire(t, d, {}, "p01", bad),
+    lambda t, d, r, bad: divisor_degree({"p01": bad}, r),
+    lambda t, d, r, bad: divisor_degree({"p01": 1}, {**r, "p01": bad}),
+    lambda t, d, r, bad: equivalent(t, {**d, "p01": bad}, {}, {}),
+    lambda t, d, r, bad: clearable(t, {**d, "p01": bad}, ["p01"], ["p01"]),
+], ids=["full_divisor", "fire", "fire_times", "divisor_degree_chips",
+        "divisor_degree_r", "equivalent", "clearable"])
+@pytest.mark.parametrize("bad", [1.5, True])
+def test_chip_firing_takes_exact_integers_only(call, bad):
+    t = path_tree(3)
+    s = laplacian_structure(t)
+    with pytest.raises(ChipFiringError, match=rf"\(p01\) = {bad!r} is not an integer"):
+        call(t, s.d, s.r, bad)
 
 
 @settings(max_examples=40, deadline=None)
@@ -276,6 +296,72 @@ def test_reduce_support_walks_tentacles_at_most_twice(monkeypatch):
         monkeypatch.undo()
         assert len(dec.pieces) >= n // 10
         assert 1 <= len(calls) <= 2, (n, len(dec.pieces), len(calls))
+
+
+def test_reduce_support_copies_the_divisor_at_most_twice(monkeypatch):
+    rng = random.Random(2122)
+    for n in (30, 100):
+        t = random_name_tree(rng, n)
+        s = laplacian_structure(t)
+        delta = {v: rng.randint(-3, 3) for v in t.vertices}
+        dec = starlike_decomposition(t)
+        calls = count_calls(monkeypatch, chipfiring, "full_divisor")
+        try:
+            reduce_support(t, s.d, delta, dec)
+        except AssertionError as exc:
+            # only the known leaf-postcondition defect; the copies still count
+            line = traceback.extract_tb(exc.__traceback__)[-1].line
+            assert line.startswith(("assert all(v in allowed", "assert t.vertex_count == 1"))
+        monkeypatch.undo()
+        assert 1 <= len(calls) <= 2, (n, len(calls))
+
+
+def sweep_golden_cases():
+    """Seeded (graph, structure, divisor) cases: random-name trees of 10 to
+    60 vertices, each with its Laplacian structure and a structure
+    realized on a subdivision, each with a degree-zero divisor and an
+    arbitrary one."""
+    rng = random.Random(2121)
+    for _ in range(110):
+        t = random_name_tree(rng, rng.randint(10, 60))
+        chain = {0: (), 1: (6,)}.get(invariant_factor_bound(t), (2, 6))
+        _, realized = realize_on_subdivision(t, AbelianGroup(chain), max(0, iota(t) - 2))
+        for s in (laplacian_structure(t), realized):
+            g = s.graph
+            yield g, s, degree_zero_divisor(rng, g, s)
+            yield g, s, {v: rng.randint(-4, 4) for v in rng.sample(g.vertices, 6)}
+
+
+def sweep_record(g, s, delta):
+    """reduce_support's result, or the text of the assert line it raised,
+    with every tentacle swept both ways and three firings."""
+    try:
+        reduced = reduce_support(g, s.d, delta, starlike_decomposition(g))
+    except AssertionError as exc:
+        reduced = traceback.extract_tb(exc.__traceback__)[-1].line
+    sweeps = [sweep_tentacle(g, s.d, delta, ten, direction)
+              for ten in tentacles(g) for direction in ("inward", "outward")]
+    fired = [fire(g, s.d, delta, v, k) for v, k in zip(g.vertices, (-2, 1, 3))]
+    return reduced, sweeps, fired
+
+
+# SHA-256 of every golden case's record, as computed when each chip move
+# still copied the whole divisor.  Under ``python -O`` reduce_support
+# skips its asserts and returns what they would have refused.
+GOLDEN_SWEEPS = {
+    True: "e537da54a19bc662dcdfd0bd3bae47907f635719a162dc322a82d5a413ef155e",
+    False: "a2b3f45b851575933ce4e15faddac53c3c01870e2a4c4b3f8f99adad16987458",
+}
+
+
+def test_sweeps_match_the_golden_digest():
+    digest = hashlib.sha256()
+    cases = 0
+    for g, s, delta in sweep_golden_cases():
+        digest.update(repr(sweep_record(g, s, delta)).encode())
+        cases += 1
+    assert cases == 440
+    assert digest.hexdigest() == GOLDEN_SWEEPS[__debug__]
 
 
 def test_clearable_known_answers():
@@ -507,14 +593,13 @@ def test_divisor_queries_build_no_dense_laplacian(monkeypatch):
 
 
 def test_reduce_support_raises_on_a_wrong_firing_vector(monkeypatch):
-    real = chipfiring.sweep_tentacle
+    real = chipfiring._sweep
 
-    def off_by_one(g, d, delta, ten, direction):
-        cur, fired = real(g, d, delta, ten, direction)
+    def off_by_one(g, d, cur, fired, ten, direction):
+        real(g, d, cur, fired, ten, direction)
         fired[ten.vertices[0]] += 1
-        return cur, fired
 
-    monkeypatch.setattr(chipfiring, "sweep_tentacle", off_by_one)
+    monkeypatch.setattr(chipfiring, "_sweep", off_by_one)
     t = running_example_tree()
     s = laplacian_structure(t)
     delta = {v: (-1) ** i * (i % 4) for i, v in enumerate(t.vertices)}
@@ -526,12 +611,11 @@ def test_divisor_queries_raise_on_a_broken_elimination(monkeypatch):
     g, s = c4()
     real = arithstruct._unit_pivot_core
 
-    def bad_back_substitution(g, d, log=None):
-        out = real(g, d, log)
-        if log:
-            i, j, p, prow, pcol = log[-1]
-            log[-1] = (i, j, p, {c: e + 1 for c, e in prow.items()}, pcol)
-        return out
+    def bad_back_substitution(g, d):
+        core, live_rows, live_cols, log = real(g, d)
+        i, j, p, prow, pcol = log[-1]
+        log[-1] = (i, j, p, {c: e + 1 for c, e in prow.items()}, pcol)
+        return core, live_rows, live_cols, log
 
     monkeypatch.setattr(chipfiring, "_unit_pivot_core", bad_back_substitution)
     doubled = {v: 2 * x for v, x in C4_DELTA.items()}
