@@ -164,100 +164,103 @@ def laplacian(g: Graph, d: Mapping[str, int]) -> IntegerMatrix:
     )
 
 
-def _sparse_laplacian(g: Graph, d: Mapping[str, int],
-                      ) -> tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]]:
-    """diag(d) - A as nonzero entries by row and, mirrored, by column,
-    indexed by canonical vertex position."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, dict[int, int]] = {i: {} for i in range(g.vertex_count)}
-    for i, v in enumerate(g.vertices):
-        row = {index[w]: -m for w, m in g.incident(v)}
-        if d[v]:
-            row[i] = d[v]
-        rows[i] = row
-        for j, x in row.items():
-            cols[j][i] = x
-    return rows, cols
-
-
-_Pivot = tuple[int, int, int, dict[int, int], dict[int, int]]
-
-
-def _unit_pivot_core(g: Graph, d: Mapping[str, int]):
-    """Eliminate +-1 entries of diag(d) - A and return what is left, dense.
+class _Elimination:
+    """diag(d) - A with its +-1 entries eliminated, and the log of how.
 
     Pivoting on a unit entry p at (i, j) replaces the matrix by [p] plus
     its Schur complement on the other rows and columns, an integral and
-    unimodular step, so the Smith form of the returned core, padded with
-    ones, is that of the whole matrix.  Lines (rows and columns) are
-    taken fewest live entries first from a heap that is refreshed only
-    where a pivot changed a line; a tree's leaves come first, and its
-    matrix shrinks much as the tree does when its edges are contracted.
-    Within a line the unit whose crossing line is shortest is used,
+    unimodular step, so the Smith form of ``core``, padded with ones, is
+    that of the whole matrix.  Lines (rows and columns) of the sparse
+    matrix are taken fewest live entries first from a heap refreshed
+    only where a pivot changed a line, so a tree's leaves come first;
+    within a line the unit whose crossing line is shortest is used,
     which keeps the fill small.  At most n - 1 pivots are made, so the
-    core is at least 1 x 1.
-
-    Returns ``(core, live_rows, live_cols, log)``: the core, its lines
-    as canonical vertex positions, and the pivots in the order taken,
-    each logged as ``(i, j, p, prow, pcol)`` with the rest of pivot row
-    i as {column: entry} and the rest of pivot column j as {row: entry},
-    as they stood when the pivot was taken.
-    Row r then lost ``a * p`` times row i for each (r, a) in pcol, so
-    replaying that on a right-hand side b, in log order, reduces
-    ``L x = b`` to the core on the surviving lines plus one equation
-    ``p x[j] + sum(prow[c] x[c]) = b[i]`` per pivot, which determines
-    x[j] from lines pivoted later or kept in the core.
+    core is at least 1 x 1.  ``rows`` and ``cols`` are the core's lines
+    as vertex positions.  ``log`` holds each pivot, in order, as
+    ``(i, j, p, prow, pcol)``: the rest of pivot row i as {column: entry}
+    and of pivot column j as {row: entry} when it was taken.  Only
+    ``reduce`` and ``lift`` read it.
     """
-    rows, cols = _sparse_laplacian(g, d)
-    lines = (rows, cols)
-    heap = [(len(row), 0, i) for i, row in rows.items()]
-    heap += [(len(col), 1, j) for j, col in cols.items()]
-    heapq.heapify(heap)
-    log: list[_Pivot] = []
-    budget = g.vertex_count - 1
-    while budget and heap:
-        count, kind, k = heapq.heappop(heap)
-        line = lines[kind].get(k)
-        if line is None or len(line) != count:
-            continue  # pivoted away, or superseded by a newer heap entry
-        cross = lines[1 - kind]
-        m = None
-        for at, x in line.items():
-            if (x == 1 or x == -1) and (m is None or len(cross[at]) < len(cross[m])):
-                m = at
-        if m is None:
-            continue  # pushed again if a pivot ever changes this line
-        i, j = (k, m) if kind == 0 else (m, k)
-        p = rows[i][j]
-        prow = rows.pop(i)
-        pcol = cols.pop(j)
-        del prow[j]
-        del pcol[i]
-        for c in prow:
-            del cols[c][i]
-        for r in pcol:
-            del rows[r][j]
-        log.append((i, j, p, prow, pcol))
-        for r, a in pcol.items():
-            f = a * p  # a / p, as p is +-1
-            row = rows[r]
-            for c, b in prow.items():
-                x = row.get(c, 0) - f * b
-                if x:
-                    row[c] = x
-                    cols[c][r] = x
-                else:
-                    row.pop(c, None)
-                    cols[c].pop(r, None)
-            heapq.heappush(heap, (len(row), 0, r))
-        for c in prow:
-            heapq.heappush(heap, (len(cols[c]), 1, c))
-        budget -= 1
-    live_rows = sorted(rows)
-    live_cols = sorted(cols)
-    core = [[rows[i].get(j, 0) for j in live_cols] for i in live_rows]
-    return core, live_rows, live_cols, log
+
+    def __init__(self, g: Graph, d: Mapping[str, int]):
+        index = {v: i for i, v in enumerate(g.vertices)}
+        rows: dict[int, dict[int, int]] = {}
+        cols: dict[int, dict[int, int]] = {i: {} for i in range(g.vertex_count)}
+        for i, v in enumerate(g.vertices):
+            row = {index[w]: -m for w, m in g.incident(v)}
+            if d[v]:
+                row[i] = d[v]
+            rows[i] = row
+            for j, x in row.items():
+                cols[j][i] = x
+        lines = (rows, cols)
+        heap = [(len(row), 0, i) for i, row in rows.items()]
+        heap += [(len(col), 1, j) for j, col in cols.items()]
+        heapq.heapify(heap)
+        log: list[tuple[int, int, int, dict[int, int], dict[int, int]]] = []
+        budget = g.vertex_count - 1
+        while budget and heap:
+            count, kind, k = heapq.heappop(heap)
+            line = lines[kind].get(k)
+            if line is None or len(line) != count:
+                continue  # pivoted away, or superseded by a newer heap entry
+            cross = lines[1 - kind]
+            m = None
+            for at, x in line.items():
+                if (x == 1 or x == -1) and (m is None or len(cross[at]) < len(cross[m])):
+                    m = at
+            if m is None:
+                continue  # pushed again if a pivot ever changes this line
+            i, j = (k, m) if kind == 0 else (m, k)
+            p = rows[i][j]
+            prow = rows.pop(i)
+            pcol = cols.pop(j)
+            del prow[j]
+            del pcol[i]
+            for c in prow:
+                del cols[c][i]
+            for r in pcol:
+                del rows[r][j]
+            log.append((i, j, p, prow, pcol))
+            for r, a in pcol.items():
+                f = a * p  # a / p, as p is +-1
+                row = rows[r]
+                for c, b in prow.items():
+                    x = row.get(c, 0) - f * b
+                    if x:
+                        row[c] = x
+                        cols[c][r] = x
+                    else:
+                        row.pop(c, None)
+                        cols[c].pop(r, None)
+                heapq.heappush(heap, (len(row), 0, r))
+            for c in prow:
+                heapq.heappush(heap, (len(cols[c]), 1, c))
+            budget -= 1
+        self.log = log
+        self.rows = sorted(rows)
+        self.cols = sorted(cols)
+        self.core = IntegerMatrix([[rows[i].get(j, 0) for j in self.cols] for i in self.rows])
+
+    def reduce(self, b: list[int]) -> list[int]:
+        """Replay the pivots' row operations on b in place (row r lost
+        ``a * p`` times row i for each (r, a) in pcol); b on the core's rows."""
+        for i, _, p, _, pcol in self.log:
+            bi = b[i]
+            if bi:
+                for r, a in pcol.items():
+                    b[r] -= a * p * bi
+        return [b[i] for i in self.rows]
+
+    def lift(self, y: list[int], b: list[int]) -> list[int]:
+        """x with ``L x = b`` from y with ``core y = reduce(b)``, b as reduced:
+        in reverse, pivot (i, j) gives ``p x[j] + sum(prow[c] x[c]) = b[i]``."""
+        x = [0] * len(b)
+        for j, yj in zip(self.cols, y):
+            x[j] = yj
+        for i, j, p, prow, _ in reversed(self.log):
+            x[j] = p * (b[i] - sum(e * x[c] for c, e in prow.items()))
+        return x
 
 
 def critical_group(g: Graph, s: ArithmeticalStructure) -> AbelianGroup:
@@ -267,6 +270,8 @@ def critical_group(g: Graph, s: ArithmeticalStructure) -> AbelianGroup:
     unimodular pivot.  Such pivots are eliminated exactly on a sparse
     copy of the matrix, and the Smith form of the small core left over
     gives the group; on a tree that core usually has only a few rows.
+    The same elimination, ``_Elimination``, serves ``order_in_group``
+    and ``equivalent``, which replay its log on a divisor.
     For a valid structure on a connected graph the kernel is spanned by
     r, so exactly one diagonal entry of the core's Smith form vanishes;
     on a tree the order must also equal ``tree_order_formula``.  Both
@@ -275,8 +280,7 @@ def critical_group(g: Graph, s: ArithmeticalStructure) -> AbelianGroup:
     ok, problems = validate(g, s.d, s.r)
     if not ok:
         raise ArithStructError(f"invalid structure: {problems[0]}")
-    core = IntegerMatrix(_unit_pivot_core(g, s.d)[0])
-    diag = smith_normal_form(core).diagonal
+    diag = smith_normal_form(_Elimination(g, s.d).core).diagonal
     zeros = sum(1 for x in diag if x == 0)
     if zeros != 1:
         raise RankDefect(f"expected corank 1, found {zeros} zero entries")

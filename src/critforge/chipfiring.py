@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .arithstruct import ArithmeticalStructure, _integer, _require_values, _unit_pivot_core
+from .arithstruct import ArithmeticalStructure, _Elimination, _integer
 from .exactlinalg import IntegerMatrix, determinantal_divisor, smith_normal_form, solve_integer
 from .graphcore import Graph, Tentacle, Tree, UnknownVertex, path_as_tentacle
 from .treedecomp import InternalInconsistency, StarlikeDecomposition
@@ -71,23 +71,11 @@ def divisor_degree(delta: Mapping[str, int], r: Mapping[str, int]) -> int:
                for v, c in delta.items())
 
 
-def _core_system(g: Graph, d: Mapping[str, int], b: list[int]):
-    """Reduce ``L x = b``, L = diag(d) - A, to the unit-pivot core of L.
-
-    Replays the pivots' row operations on b in place and returns the
-    core as a matrix, its rows and columns as vertex positions, and the
-    pivot log that back-substitution needs (see ``_unit_pivot_core``).
-    """
-    _require_values(g, d, "d")
+def _require_d(g: Graph, d: Mapping[str, int]) -> None:
+    """Raise, naming the first vertex in canonical order, unless d holds
+    an integer at every vertex."""
     for v in g.vertices:
-        _integer(d[v], "d", v, ChipFiringError)
-    core, live_rows, live_cols, log = _unit_pivot_core(g, d)
-    for i, _, p, _, pcol in log:
-        bi = b[i]
-        if bi:
-            for r, a in pcol.items():
-                b[r] -= a * p * bi
-    return IntegerMatrix(core), live_rows, live_cols, log
+        _diagonal(g, d, v)
 
 
 def _check_witness(g: Graph, d: Mapping[str, int], x: Mapping[str, int],
@@ -106,9 +94,10 @@ def equivalent(g: Graph, d: Mapping[str, int], d1: Mapping[str, int],
     """A firing vector taking d1 to d2, or None when they are inequivalent.
 
     The witness x satisfies d1 - L x = d2 entrywise, where L is the
-    structure matrix diag(d) - A.  The +-1 pivots of L are eliminated
-    as for ``critical_group``; only the small core left over is solved,
-    by ``solve_integer``, and the pivots are back-substituted in reverse
+    structure matrix diag(d) - A.  L is eliminated once, as for
+    ``critical_group``: the pivots' row operations are replayed on
+    d1 - d2, only the small core left over is solved, by
+    ``solve_integer``, and the pivots are back-substituted in reverse
     order.  Any integer solution is a valid witness, so which one is
     returned is not part of the contract.  L x is checked against
     d1 - d2 over each vertex's neighbours on every call.
@@ -116,17 +105,13 @@ def equivalent(g: Graph, d: Mapping[str, int], d1: Mapping[str, int],
     a = full_divisor(g, d1)
     b = full_divisor(g, d2)
     rhs = [a[v] - b[v] for v in g.vertices]
+    _require_d(g, d)
+    e = _Elimination(g, d)
     reduced = list(rhs)
-    core, live_rows, live_cols, log = _core_system(g, d, reduced)
-    y = solve_integer(core, [reduced[i] for i in live_rows])
+    y = solve_integer(e.core, e.reduce(reduced))
     if y is None:
         return None
-    x = [0] * g.vertex_count
-    for j, yj in zip(live_cols, y):
-        x[j] = yj
-    for i, j, p, prow, _ in reversed(log):
-        x[j] = p * (reduced[i] - sum(e * x[c] for c, e in prow.items()))
-    witness = dict(zip(g.vertices, x))
+    witness = dict(zip(g.vertices, e.lift(y, reduced)))
     _check_witness(g, d, witness, rhs)
     return witness
 
@@ -134,20 +119,20 @@ def equivalent(g: Graph, d: Mapping[str, int], d1: Mapping[str, int],
 def order_in_group(g: Graph, s: ArithmeticalStructure, delta: Mapping[str, int]) -> int:
     """Order of a degree-zero divisor in the critical group.
 
-    The critical group is the cokernel of the unit-pivot core of
-    diag(d) - A (see ``critical_group``), and the divisor's class is its
-    image under the pivots' row operations, restricted to the core's
-    rows.  The order is read off that image through the left transform
-    of the core's Smith form.
+    diag(d) - A is eliminated once, as for ``critical_group``, whose
+    group is the cokernel of the core left over.  The divisor's class is
+    its image under the pivots' row operations, restricted to the core's
+    rows, and the order is read off that image through the left
+    transform of the core's Smith form.
     """
     out = full_divisor(g, delta)
     deg = divisor_degree(out, s.r)
     if deg != 0:
         raise NonzeroDegree(f"divisor has degree {deg}, not 0")
-    b = [out[v] for v in g.vertices]
-    core, live_rows, _, _ = _core_system(g, s.d, b)
-    dec = smith_normal_form(core)
-    c = dec.left.apply([b[i] for i in live_rows])
+    _require_d(g, s.d)
+    e = _Elimination(g, s.d)
+    dec = smith_normal_form(e.core)
+    c = dec.left.apply(e.reduce([out[v] for v in g.vertices]))
     order = 1
     for di, ci in zip(dec.diagonal, c):
         if di:
@@ -233,9 +218,9 @@ def clearable(g: Graph, d: Mapping[str, int], xs: Sequence[str],
         raise SizeViolation(
             f"{len(xs)} target vertices but only {len(ys)} firing sites"
         )
-    _require_values(g, d, "d")
+    _require_d(g, d)
     block = IntegerMatrix(
-        [[_diagonal(g, d, x) if x == y else -g.multiplicity(x, y) for y in ys] for x in xs]
+        [[d[x] if x == y else -g.multiplicity(x, y) for y in ys] for x in xs]
     )
     return determinantal_divisor(block, len(xs)) == 1
 

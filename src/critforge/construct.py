@@ -21,7 +21,7 @@ from .arithstruct import (
     structure_from_r,
 )
 from .exactlinalg import AbelianGroup
-from .graphcore import Tentacle, Tree, build_tree, fresh_name
+from .graphcore import Tentacle, Tree, _is_int, build_tree, fresh_name
 from .treedecomp import InternalInconsistency, TwoMatchingTable, iota, starlike_decomposition
 
 
@@ -65,7 +65,7 @@ def plan_broom(target: AbelianGroup, prongs: int) -> BroomPlan:
     negated remainder cascade down to 1, so consecutive tail values
     are coprime and the whole labelling is primitive.
     """
-    if not isinstance(prongs, int) or prongs < 1:
+    if not _is_int(prongs) or prongs < 1:
         raise ConstructError(f"prong count must be a positive integer, got {prongs!r}")
     factors = target.invariant_factors
     if len(factors) > prongs:
@@ -198,13 +198,13 @@ def _suppress_fresh(big: Tree, original: Tree) -> bool:
     return Tree(adj) == original
 
 
-def _separations(t: Tree) -> Iterator[tuple[str, str, str, int]]:
-    """Separate the branch pairs of ``t`` in ``t.edges()`` order, yielding each
-    pair u, v, the vertex x put between them, named as by ``subdivide``, and
-    the irregularity so far.  A fresh vertex has degree two: it makes no
-    branch pair and keeps the leaves, so one table serves every step."""
-    table, taken = TwoMatchingTable(t), set(t.vertices)
-    fixed = len(t.leaves) - 2 - t.edge_count
+def _separations(t: Tree, table: TwoMatchingTable) -> Iterator[tuple[str, str, str, int]]:
+    """Separate the branch pairs of ``t`` in ``t.edges()`` order on ``t``'s
+    2-matching table, yielding each pair u, v, the vertex x put between them,
+    named as by ``subdivide``, and the irregularity so far.  A fresh vertex
+    has degree two: it makes no branch pair and keeps the leaves, so one
+    table serves every step."""
+    taken, fixed = set(t.vertices), len(t.leaves) - 2 - t.edge_count
     pairs = [(u, v) for u, v, _ in t.edges() if t.degree(u) >= 3 and t.degree(v) >= 3]
     for k, (u, v) in enumerate(pairs, 1):
         x = fresh_name(f"{u}.{v}.1", taken)
@@ -227,20 +227,23 @@ def realize_on_subdivision(t: Tree, target: AbelianGroup, beta: int,
     one build of the grown tree.  The subdivision relation, the final
     irregularity, and the critical group are checked once.
     """
-    base_iota = iota(t)
-    if not isinstance(beta, int) or not 0 <= beta <= base_iota:
+    # iota(t), read off the table that the separation then updates; a path
+    # has iota 0 and needs no table (the one-vertex tree has no leaf to root one at)
+    table = None if t.is_path else TwoMatchingTable(t)
+    base_iota = 0 if table is None else len(t.leaves) - 2 - t.edge_count + table.nu2
+    if not _is_int(beta) or not 0 <= beta <= base_iota:
         raise BetaOutOfRange(
             f"beta must lie in 0..{base_iota}, got {beta!r}"
         )
     factors = target.invariant_factors
-    if t.is_path:
+    if table is None:
         if factors:
             raise PathWithNontrivialTarget(
                 "paths only carry the trivial critical group"
             )
         return t, laplacian_structure(t)
 
-    cnt, steps, split = base_iota, _separations(t), {}
+    cnt, steps, split = base_iota, _separations(t, table), {}
     while cnt != beta:
         # Separating a branch pair drops the count by at most one and
         # never raises it, so the loop walks through beta exactly before

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arithstruct import ArithmeticalStructure, structure_from_r
-from .graphcore import Tree
+from .graphcore import Tree, _is_int
 
 
 class EnumerationError(Exception):
@@ -36,9 +36,9 @@ class EnumerationConfig:
     vertex_cap: int = 12
 
     def __post_init__(self) -> None:
-        if not isinstance(self.r_bound, int) or self.r_bound < 1:
+        if not _is_int(self.r_bound) or self.r_bound < 1:
             raise ValueError(f"r_bound must be a positive integer, got {self.r_bound!r}")
-        if not isinstance(self.vertex_cap, int) or not 1 <= self.vertex_cap <= 12:
+        if not _is_int(self.vertex_cap) or not 1 <= self.vertex_cap <= 12:
             raise ValueError(f"vertex_cap must lie in 1..12, got {self.vertex_cap!r}")
 
 

@@ -366,7 +366,7 @@ def subdivide(t: Tree, edge: tuple[str, str], parts: int) -> Tree:
     u, v = edge
     if t.multiplicity(u, v) != 1:
         raise UnknownEdge(f"no edge ({u}, {v})")
-    if not isinstance(parts, int) or parts < 1:
+    if not _is_int(parts) or parts < 1:
         raise GraphError(f"parts must be a positive integer, got {parts!r}")
     if parts == 1:
         return t

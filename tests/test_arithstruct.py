@@ -1,6 +1,7 @@
 """Structures (d, r), their validation, and critical groups."""
 
 import random
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -25,6 +26,7 @@ from critforge import (
     ArithmeticalStructure,
     DivisibilityViolation,
     EnumerationConfig,
+    IntegerMatrix,
     MissingVertexValue,
     NonIntegralOrder,
     RankDefect,
@@ -312,11 +314,12 @@ def test_critical_group_checks_corank_and_tree_order(monkeypatch):
     s = structure_from_r(t, r)
     assert critical_group(t, s).order == tree_order_formula(t, s.r) == 54
     # Feed the checks a wrong core: they raise, not assert.
-    monkeypatch.setattr(arithstruct, "_unit_pivot_core",
-                        lambda g, d: ([[3, 0], [0, 0]], [0, 1], [0, 1], []))
+    def core(rows):
+        return lambda g, d: SimpleNamespace(core=IntegerMatrix(rows))
+
+    monkeypatch.setattr(arithstruct, "_Elimination", core([[3, 0], [0, 0]]))
     with pytest.raises(InternalInconsistency, match="tree_order_formula 54"):
         critical_group(t, s)
-    monkeypatch.setattr(arithstruct, "_unit_pivot_core",
-                        lambda g, d: ([[54, 0], [0, 1]], [0, 1], [0, 1], []))
+    monkeypatch.setattr(arithstruct, "_Elimination", core([[54, 0], [0, 1]]))
     with pytest.raises(RankDefect):
         critical_group(t, s)

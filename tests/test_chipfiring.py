@@ -118,6 +118,20 @@ def test_chip_firing_takes_exact_integers_only(call, bad):
         call(t, s.d, s.r, bad)
 
 
+@pytest.mark.parametrize("call", [
+    lambda t, s, d: fire(t, d, {}, "p01"),
+    lambda t, s, d: equivalent(t, d, {}, {}),
+    lambda t, s, d: order_in_group(t, ArithmeticalStructure(graph=t, r=s.r, d=d), {}),
+    lambda t, s, d: clearable(t, d, ["p00"], ["p00"]),
+], ids=["fire", "equivalent", "order_in_group", "clearable"])
+def test_a_missing_d_value_is_one_chip_firing_error(call):
+    t = path_tree(3)
+    s = laplacian_structure(t)
+    d = {v: x for v, x in s.d.items() if v != "p01"}
+    with pytest.raises(ChipFiringError, match=r"^d labelling lacks vertex 'p01'$"):
+        call(t, s, d)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(all_trees(7)),
@@ -362,6 +376,46 @@ def test_sweeps_match_the_golden_digest():
         cases += 1
     assert cases == 440
     assert digest.hexdigest() == GOLDEN_SWEEPS[__debug__]
+
+
+def divisor_golden_cases():
+    """The sweep cases, then c4_example and every structure with r up to 4
+    on a graph with a doubled edge, each with a degree-zero divisor."""
+    yield from sweep_golden_cases()
+    g, s = c4()
+    yield g, s, C4_DELTA
+    rng = random.Random(2323)
+    doubled = build_graph([("a", "b", 2), ("b", "c"), ("c", "d"), ("b", "d")])
+    for s in structures_by_search(doubled, 4):
+        yield doubled, s, degree_zero_divisor(rng, doubled, s)
+
+
+def divisor_record(g, s, delta):
+    """The order of delta's class (None off degree zero) and the witnesses
+    that take delta to nothing, to delta fired twice at one vertex, and to
+    one chip there (None where there is none)."""
+    order = order_in_group(g, s, delta) if divisor_degree(delta, s.r) == 0 else None
+    v = g.vertices[g.vertex_count // 2]
+    targets = ({}, fire(g, s.d, delta, v, 2), {v: 1})
+    return order, [equivalent(g, s.d, delta, other) for other in targets]
+
+
+def divisor_digest(cases):
+    digest = hashlib.sha256()
+    for g, s, delta in cases:
+        digest.update(repr(divisor_record(g, s, delta)).encode())
+    return digest.hexdigest()
+
+
+# SHA-256 of every divisor golden case's record, as computed when chip
+# firing still replayed the unit-pivot log itself; the same under -O
+GOLDEN_DIVISORS = "9ece543c7ca4e13022fbc642b929952dce38bc9ec3c4cab232d429dcb025e971"
+
+
+def test_divisor_queries_match_the_golden_digest():
+    cases = list(divisor_golden_cases())
+    assert len(cases) > 440
+    assert divisor_digest(cases) == GOLDEN_DIVISORS
 
 
 def test_clearable_known_answers():
@@ -609,21 +663,20 @@ def test_reduce_support_raises_on_a_wrong_firing_vector(monkeypatch):
 
 def test_divisor_queries_raise_on_a_broken_elimination(monkeypatch):
     g, s = c4()
-    real = arithstruct._unit_pivot_core
 
-    def bad_back_substitution(g, d):
-        core, live_rows, live_cols, log = real(g, d)
-        i, j, p, prow, pcol = log[-1]
-        log[-1] = (i, j, p, {c: e + 1 for c, e in prow.items()}, pcol)
-        return core, live_rows, live_cols, log
+    class BadBackSubstitution(arithstruct._Elimination):
+        def __init__(self, g, d):
+            super().__init__(g, d)
+            i, j, p, prow, pcol = self.log[-1]
+            self.log[-1] = (i, j, p, {c: e + 1 for c, e in prow.items()}, pcol)
 
-    monkeypatch.setattr(chipfiring, "_unit_pivot_core", bad_back_substitution)
+    monkeypatch.setattr(chipfiring, "_Elimination", BadBackSubstitution)
     doubled = {v: 2 * x for v, x in C4_DELTA.items()}
     with pytest.raises(InternalInconsistency, match="firing vector"):
         equivalent(g, s.d, doubled, {})
     # An r that is not the kernel of diag(d) - A leaves an r-degree-zero
     # divisor with a nonzero image on the zero Smith row.
-    monkeypatch.setattr(chipfiring, "_unit_pivot_core", real)
+    monkeypatch.undo()
     t = path_tree(3)
     off = ArithmeticalStructure(graph=t, r={"p00": 1, "p01": 2, "p02": 1},
                                 d=laplacian_structure(t).d)

@@ -67,6 +67,13 @@ def test_plan_validation():
         plan_broom(AbelianGroup((4,)), 0)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_plan_broom_refuses_a_bool_prong_count(flag):
+    with pytest.raises(ConstructError,
+                       match=f"prong count must be a positive integer, got {flag!r}"):
+        plan_broom(AbelianGroup((4,)), flag)
+
+
 def test_broom_matches_the_shipped_fixture():
     tree, s = broom_with_group(AbelianGroup((3, 18)), 2)
     assert s.r == {
@@ -160,6 +167,14 @@ def test_trivial_target_at_full_irregularity_changes_nothing():
     out, s = realize_on_subdivision(t1, AbelianGroup(()), iota(t1))
     assert out == t1
     assert s.is_laplacian
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_realize_on_subdivision_refuses_a_bool_beta(flag):
+    t1 = fixture_tree("t1")
+    assert iota(t1) >= 1
+    with pytest.raises(BetaOutOfRange, match=f"beta must lie in 0..{iota(t1)}, got {flag!r}"):
+        realize_on_subdivision(t1, AbelianGroup(()), flag)
 
 
 def test_subdivision_realization_validation():
@@ -436,7 +451,7 @@ def separation_by_subdividing(t):
 
 
 def assert_separation_matches_the_reference(t):
-    got = list(construct._separations(t))
+    got = list(construct._separations(t, treedecomp.TwoMatchingTable(t)))
     assert got == separation_by_subdividing(t), t
     counts = [iota(t)] + [count for *_, count in got]
     assert all(b in (a, a - 1) for a, b in zip(counts, counts[1:])), counts
@@ -465,11 +480,11 @@ def test_separation_counts_match_repeated_subdivision_on_random_name_trees():
         if n % 20 == 0:
             t = clash_renamed(rng, t)
         assert_separation_matches_the_reference(t)
-        steps += len(list(construct._separations(t)))
+        steps += len(list(construct._separations(t, treedecomp.TwoMatchingTable(t))))
     assert steps >= 200
 
 
-def test_separation_subdivides_nothing_and_runs_three_dp_tables(monkeypatch):
+def test_separation_subdivides_nothing_and_runs_two_dp_tables(monkeypatch):
     tables, subdivisions = [], []
     real_table = treedecomp.TwoMatchingTable.__init__
     real_subdivide = graphcore.subdivide
@@ -485,16 +500,17 @@ def test_separation_subdivides_nothing_and_runs_three_dp_tables(monkeypatch):
     monkeypatch.setattr(treedecomp.TwoMatchingTable, "__init__", table_counting)
     for mod in (critforge, graphcore, construct):
         monkeypatch.setattr(mod, "subdivide", subdivide_counting, raising=False)
-    t = random_name_tree(random.Random(1600), 1600)
-    top = iota(t)
-    assert top >= 100
+    small = build_tree([("a", "b"), ("a", "x1"), ("a", "x2"),
+                        ("b", "y1"), ("b", "y2"), ("b", "y3")])
+    big = random_name_tree(random.Random(1600), 1600)
+    assert iota(small) == 1 and iota(big) >= 100
     target = AbelianGroup((6, 6, 12))
-    for beta, runs in ((0, 3), (top, 2)):
+    for t, beta in ((small, 0), (big, 0), (big, iota(big))):
         tables.clear()
-        out, s = realize_on_subdivision(t, target, beta)
+        out, s = realize_on_subdivision(t, target if t is big else AbelianGroup(()), beta)
         assert subdivisions == []
-        # the base iota, the separation when beta is below it, iota(out)
-        assert len(tables) == runs
+        # one on t for the base iota and every separation step, one for iota(out)
+        assert len(tables) == 2
         assert tables[0] is t and tables[-1] is out
 
 

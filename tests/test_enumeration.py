@@ -94,6 +94,14 @@ def test_size_and_config_validation():
         EnumerationConfig(r_bound="60")
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_config_refuses_bool_knobs(flag):
+    with pytest.raises(ValueError, match=f"r_bound must be a positive integer, got {flag!r}"):
+        EnumerationConfig(r_bound=flag)
+    with pytest.raises(ValueError, match=f"vertex_cap must lie in 1..12, got {flag!r}"):
+        EnumerationConfig(vertex_cap=flag)
+
+
 def test_count_matches_list_length():
     t = path_tree(4)
     cfg = EnumerationConfig(r_bound=15, vertex_cap=12)

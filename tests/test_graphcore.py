@@ -208,6 +208,12 @@ def test_path_and_starlike_predicates():
         path_endpoints(star_tree(3))
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_subdivide_refuses_a_bool_part_count(flag):
+    with pytest.raises(GraphError, match=f"parts must be a positive integer, got {flag!r}"):
+        subdivide(path_tree(3), ("p00", "p01"), flag)
+
+
 def test_graph_equality_and_hash():
     a = build_graph([("a", "b"), ("b", "c")])
     b = build_graph([("b", "c"), ("a", "b")])
