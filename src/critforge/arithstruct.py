@@ -12,9 +12,11 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Mapping
 
-from .exactlinalg import AbelianGroup, IntegerMatrix, smith_normal_form
+from .exactlinalg import AbelianGroup, IntegerMatrix, SmithDecomposition, smith_normal_form
 from .graphcore import Graph, Tree, UnknownVertex, fresh_name
 from .treedecomp import InternalInconsistency
+
+_last: list = [None, None, None]  # ``_factorization``'s one slot: g, d in vertex order, result
 
 
 class ArithStructError(Exception):
@@ -178,8 +180,8 @@ class _Elimination:
     core is at least 1 x 1.  ``rows`` and ``cols`` are the core's lines
     as vertex positions.  ``log`` holds each pivot, in order, as
     ``(i, j, p, prow, pcol)``: the rest of pivot row i as {column: entry}
-    and of pivot column j as {row: entry} when it was taken.  Only
-    ``reduce`` and ``lift`` read it.
+    and of pivot column j as {row: entry} when it was taken; only
+    ``reduce`` and ``lift`` read it.  ``smith`` is the core's Smith form, made once.
     """
 
     def __init__(self, g: Graph, d: Mapping[str, int]):
@@ -241,6 +243,7 @@ class _Elimination:
         self.rows = sorted(rows)
         self.cols = sorted(cols)
         self.core = IntegerMatrix([[rows[i].get(j, 0) for j in self.cols] for i in self.rows])
+        self._smith: SmithDecomposition | None = None
 
     def reduce(self, b: list[int]) -> list[int]:
         """Replay the pivots' row operations on b in place (row r lost
@@ -262,6 +265,22 @@ class _Elimination:
             x[j] = p * (b[i] - sum(e * x[c] for c, e in prow.items()))
         return x
 
+    @property
+    def smith(self) -> SmithDecomposition:
+        if self._smith is None:
+            self._smith = smith_normal_form(self.core)
+        return self._smith
+
+
+def _factorization(g: Graph, d: Mapping[str, int]) -> _Elimination:
+    """The ``_Elimination`` of (g, d); only the last is kept, keyed by g itself
+    (held, so its id is not reused) and d in vertex order, checked by the caller."""
+    key = tuple(map(d.__getitem__, g.vertices))
+    last_g, last_key, e = _last  # one read, so another thread cannot mix two entries
+    if last_g is not g or last_key != key:
+        _last[:] = g, key, (e := _Elimination(g, d))
+    return e
+
 
 def critical_group(g: Graph, s: ArithmeticalStructure) -> AbelianGroup:
     """Torsion of the cokernel of diag(d) - A.
@@ -270,8 +289,7 @@ def critical_group(g: Graph, s: ArithmeticalStructure) -> AbelianGroup:
     unimodular pivot.  Such pivots are eliminated exactly on a sparse
     copy of the matrix, and the Smith form of the small core left over
     gives the group; on a tree that core usually has only a few rows.
-    The same elimination, ``_Elimination``, serves ``order_in_group``
-    and ``equivalent``, which replay its log on a divisor.
+    ``order_in_group`` and ``equivalent`` on the same (g, d) reuse both.
     For a valid structure on a connected graph the kernel is spanned by
     r, so exactly one diagonal entry of the core's Smith form vanishes;
     on a tree the order must also equal ``tree_order_formula``.  Both
@@ -280,7 +298,7 @@ def critical_group(g: Graph, s: ArithmeticalStructure) -> AbelianGroup:
     ok, problems = validate(g, s.d, s.r)
     if not ok:
         raise ArithStructError(f"invalid structure: {problems[0]}")
-    diag = smith_normal_form(_Elimination(g, s.d).core).diagonal
+    diag = _factorization(g, s.d).smith.diagonal
     zeros = sum(1 for x in diag if x == 0)
     if zeros != 1:
         raise RankDefect(f"expected corank 1, found {zeros} zero entries")

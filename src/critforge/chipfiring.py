@@ -12,8 +12,8 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .arithstruct import ArithmeticalStructure, _Elimination, _integer
-from .exactlinalg import IntegerMatrix, determinantal_divisor, smith_normal_form, solve_integer
+from .arithstruct import ArithmeticalStructure, _factorization, _integer
+from .exactlinalg import IntegerMatrix, _solve_smith, determinantal_divisor
 from .graphcore import Graph, Tentacle, Tree, UnknownVertex, path_as_tentacle
 from .treedecomp import InternalInconsistency, StarlikeDecomposition
 
@@ -37,7 +37,8 @@ def full_divisor(g: Graph, delta: Mapping[str, int]) -> Divisor:
     for v, x in delta.items():
         if not g.has_vertex(v):
             raise UnknownVertex(f"divisor mentions unknown vertex {v!r}")
-        _integer(x, "chips", v, ChipFiringError)
+        if type(x) is not int:  # a plain int skips the call
+            _integer(x, "chips", v, ChipFiringError)
     return {v: delta.get(v, 0) for v in g.vertices}
 
 
@@ -94,21 +95,21 @@ def equivalent(g: Graph, d: Mapping[str, int], d1: Mapping[str, int],
     """A firing vector taking d1 to d2, or None when they are inequivalent.
 
     The witness x satisfies d1 - L x = d2 entrywise, where L is the
-    structure matrix diag(d) - A.  L is eliminated once, as for
-    ``critical_group``: the pivots' row operations are replayed on
-    d1 - d2, only the small core left over is solved, by
-    ``solve_integer``, and the pivots are back-substituted in reverse
-    order.  Any integer solution is a valid witness, so which one is
-    returned is not part of the contract.  L x is checked against
-    d1 - d2 over each vertex's neighbours on every call.
+    structure matrix diag(d) - A, whose one factorization is shared
+    with ``critical_group`` and ``order_in_group`` on the same (g, d):
+    its pivots' row operations are replayed on d1 - d2, the small core
+    is solved on its Smith form, and the pivots are back-substituted in
+    reverse order.  Any integer solution is a valid witness, so which
+    one is returned is not part of the contract.  L x is checked
+    against d1 - d2 over each vertex's neighbours on every call.
     """
     a = full_divisor(g, d1)
     b = full_divisor(g, d2)
     rhs = [a[v] - b[v] for v in g.vertices]
     _require_d(g, d)
-    e = _Elimination(g, d)
+    e = _factorization(g, d)
     reduced = list(rhs)
-    y = solve_integer(e.core, e.reduce(reduced))
+    y = _solve_smith(e.smith, e.reduce(reduced))
     if y is None:
         return None
     witness = dict(zip(g.vertices, e.lift(y, reduced)))
@@ -119,22 +120,21 @@ def equivalent(g: Graph, d: Mapping[str, int], d1: Mapping[str, int],
 def order_in_group(g: Graph, s: ArithmeticalStructure, delta: Mapping[str, int]) -> int:
     """Order of a degree-zero divisor in the critical group.
 
-    diag(d) - A is eliminated once, as for ``critical_group``, whose
-    group is the cokernel of the core left over.  The divisor's class is
-    its image under the pivots' row operations, restricted to the core's
-    rows, and the order is read off that image through the left
-    transform of the core's Smith form.
+    diag(d) - A has one factorization, shared with ``critical_group``
+    and ``equivalent`` on the same (g, d): an elimination, whose core's
+    cokernel is the group, and the core's Smith form.  The divisor's
+    class is its image under the pivots' row operations on the core's
+    rows, and the order is read off it through the left transform.
     """
     out = full_divisor(g, delta)
     deg = divisor_degree(out, s.r)
     if deg != 0:
         raise NonzeroDegree(f"divisor has degree {deg}, not 0")
     _require_d(g, s.d)
-    e = _Elimination(g, s.d)
-    dec = smith_normal_form(e.core)
-    c = dec.left.apply(e.reduce([out[v] for v in g.vertices]))
+    e = _factorization(g, s.d)
+    c = e.smith.left.apply(e.reduce([out[v] for v in g.vertices]))
     order = 1
-    for di, ci in zip(dec.diagonal, c):
+    for di, ci in zip(e.smith.diagonal, c):
         if di:
             order = lcm(order, di // gcd(di, ci))
         elif ci:

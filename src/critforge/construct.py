@@ -24,6 +24,8 @@ from .exactlinalg import AbelianGroup
 from .graphcore import Tentacle, Tree, _is_int, build_tree, fresh_name
 from .treedecomp import InternalInconsistency, TwoMatchingTable, iota, starlike_decomposition
 
+MAX_BROOM_VERTICES = 100_000  # prongs plus tail; ``plan_broom`` refuses more, unallocated
+
 
 class ConstructError(Exception):
     """Base class for errors raised by this module."""
@@ -63,10 +65,14 @@ def plan_broom(target: AbelianGroup, prongs: int) -> BroomPlan:
     ``prongs``; the center carries the square of the top factor and
     each prong divides it by one factor.  The tail alternates the
     negated remainder cascade down to 1, so consecutive tail values
-    are coprime and the whole labelling is primitive.
+    are coprime and the whole labelling is primitive.  Plans of more
+    than ``MAX_BROOM_VERTICES`` vertices raise ``ConstructError``.
     """
     if not _is_int(prongs) or prongs < 1:
         raise ConstructError(f"prong count must be a positive integer, got {prongs!r}")
+    too_big = ConstructError(f"the broom would exceed {MAX_BROOM_VERTICES} vertices")
+    if prongs + 2 > MAX_BROOM_VERTICES:  # prongs, their extra one, a tail
+        raise too_big
     factors = target.invariant_factors
     if len(factors) > prongs:
         raise TooManyFactors(
@@ -83,6 +89,8 @@ def plan_broom(target: AbelianGroup, prongs: int) -> BroomPlan:
         prev, cur = center, (-(sum(prong_values))) % center
         tail = [cur]
         while cur != 1:
+            if prongs + 2 + len(tail) > MAX_BROOM_VERTICES:
+                raise too_big
             prev, cur = cur, (-prev) % cur
             tail.append(cur)
         tail = tuple(tail)

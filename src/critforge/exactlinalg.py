@@ -297,11 +297,15 @@ def determinantal_divisor(m: IntegerMatrix, k: int) -> int:
 
 
 def solve_integer(m: IntegerMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """One integer solution x of m x = b, or None when there is none."""
-    nr, nc = m.shape
+    """One integer solution x of m x = b, or None; ``_solve_smith`` reuses a Smith form."""
+    return _solve_smith(smith_normal_form(m), b)
+
+
+def _solve_smith(dec: SmithDecomposition, b: Sequence[int]) -> tuple[int, ...] | None:
+    """``solve_integer`` on the source's Smith decomposition ``dec``."""
+    nr, nc = dec.source.shape
     if len(b) != nr:
-        raise DimensionMismatch(f"rhs of length {len(b)} against {m.shape} matrix")
-    dec = smith_normal_form(m)
+        raise DimensionMismatch(f"rhs of length {len(b)} against {dec.source.shape} matrix")
     c = dec.left.apply(b)
     y = [0] * nc
     for i in range(nr):

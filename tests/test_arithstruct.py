@@ -1,7 +1,6 @@
 """Structures (d, r), their validation, and critical groups."""
 
 import random
-from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -313,13 +312,19 @@ def test_critical_group_checks_corank_and_tree_order(monkeypatch):
     _, r, _ = fixture_graph("fig3_broom")
     s = structure_from_r(t, r)
     assert critical_group(t, s).order == tree_order_formula(t, s.r) == 54
-    # Feed the checks a wrong core: they raise, not assert.
+    # Feed the checks a wrong core: they raise, not assert.  The memo
+    # holds the right factorization of (t, s.d), so it is emptied first.
     def core(rows):
-        return lambda g, d: SimpleNamespace(core=IntegerMatrix(rows))
+        class WrongCore(arithstruct._Elimination):
+            def __init__(self, g, d):
+                super().__init__(g, d)
+                self.core = IntegerMatrix(rows)
+        return WrongCore
 
-    monkeypatch.setattr(arithstruct, "_Elimination", core([[3, 0], [0, 0]]))
-    with pytest.raises(InternalInconsistency, match="tree_order_formula 54"):
-        critical_group(t, s)
-    monkeypatch.setattr(arithstruct, "_Elimination", core([[54, 0], [0, 1]]))
-    with pytest.raises(RankDefect):
-        critical_group(t, s)
+    for rows, error, message in (
+            ([[3, 0], [0, 0]], InternalInconsistency, "tree_order_formula 54"),
+            ([[54, 0], [0, 1]], RankDefect, "expected corank 1")):
+        monkeypatch.setattr(arithstruct, "_Elimination", core(rows))
+        arithstruct._last[:] = None, None, None
+        with pytest.raises(error, match=message):
+            critical_group(t, s)

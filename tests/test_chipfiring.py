@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import random
+import sys
+import threading
 import traceback
 from math import gcd, lcm
 
@@ -37,6 +39,7 @@ from critforge import (
     UnknownVertex,
     build_graph,
     clearable,
+    critical_group,
     divisor_degree,
     enumerate_structures,
     equivalent,
@@ -629,14 +632,15 @@ def test_divisor_queries_build_no_dense_laplacian(monkeypatch):
 
     for mod in (chipfiring, arithstruct):
         monkeypatch.setattr(mod, "laplacian", refuse, raising=False)
-    for mod in (chipfiring, exactlinalg):
+    for mod in (arithstruct, exactlinalg):
         monkeypatch.setattr(mod, "smith_normal_form", recording_smith)
     delta = degree_zero_divisor(rng, t, s)
     assert order_in_group(t, s, delta) == 1
     assert equivalent(t, s.d, delta, {}) is not None
     xs = rng.sample(t.vertices, 2)
     clearable(t, s.d, xs, xs + rng.sample(t.vertices, 2))
-    assert len(sides) == 3
+    # the core's one Smith form, shared by both queries, and clearable's block
+    assert len(sides) == 2
     assert max(sides) <= 4
     try:
         reduce_support(t, s.d, delta, starlike_decomposition(t))
@@ -670,7 +674,7 @@ def test_divisor_queries_raise_on_a_broken_elimination(monkeypatch):
             i, j, p, prow, pcol = self.log[-1]
             self.log[-1] = (i, j, p, {c: e + 1 for c, e in prow.items()}, pcol)
 
-    monkeypatch.setattr(chipfiring, "_Elimination", BadBackSubstitution)
+    monkeypatch.setattr(arithstruct, "_Elimination", BadBackSubstitution)
     doubled = {v: 2 * x for v, x in C4_DELTA.items()}
     with pytest.raises(InternalInconsistency, match="firing vector"):
         equivalent(g, s.d, doubled, {})
@@ -682,3 +686,139 @@ def test_divisor_queries_raise_on_a_broken_elimination(monkeypatch):
                                 d=laplacian_structure(t).d)
     with pytest.raises(InternalInconsistency, match="nonzero image"):
         order_in_group(t, off, {"p00": 2, "p01": -1})
+
+
+# One factorization of diag(d) - A is kept for the last (g, d) asked
+# about.  Each answer read through it must equal the answer computed
+# with it emptied.
+
+def answer(call, *args):
+    """call(*args) through the kept factorization, checked against the
+    same call with none kept; the kept one is then put back."""
+    got = call(*args)
+    kept = arithstruct._last[:]
+    arithstruct._last[:] = None, None, None
+    assert call(*args) == got
+    arithstruct._last[:] = kept
+    return got
+
+
+def queries(rng, g, s):
+    """The divisor queries of the bench on one structure, and its group."""
+    delta = degree_zero_divisor(rng, g, s)
+    return [(critical_group, g, s), (order_in_group, g, s, delta),
+            (equivalent, g, s.d, delta, {}),
+            (equivalent, g, s.d, delta, fired_at_random(rng, g, s.d, delta))]
+
+
+def test_two_d_labellings_on_one_graph_queried_alternately():
+    t, s = broom()
+    other = laplacian_structure(t)
+    rng = random.Random(24)
+    mixed = zip(queries(rng, t, s), queries(rng, t, other))
+    for pair in list(mixed) * 2:
+        for call, *args in pair:
+            answer(call, *args)
+    assert critical_group(t, s) == AbelianGroup((3, 18))
+    assert critical_group(t, other).is_trivial
+
+
+def test_two_equal_graphs_with_the_same_d():
+    t1, s1 = broom()
+    t2, s2 = broom()
+    assert t1 == t2 and t1 is not t2 and s1.d == s2.d
+    rng = random.Random(25)
+    for first, second in zip(queries(rng, t1, s1), queries(rng, t2, s2)):
+        for call, *args in (first, second, first):
+            answer(call, *args)
+
+
+def test_a_d_dict_mutated_in_place_between_calls():
+    t, s = broom()
+    lap = laplacian_structure(t)
+    delta = degree_zero_divisor(random.Random(26), t, lap)
+    assert answer(critical_group, t, s) == AbelianGroup((3, 18))
+    answer(equivalent, t, s.d, delta, {})
+    s.r.update(lap.r)
+    s.d.update(lap.d)
+    assert answer(critical_group, t, s).is_trivial
+    assert answer(order_in_group, t, s, delta) == 1
+    assert answer(equivalent, t, s.d, delta, {}) is not None
+    d = dict(s.d)
+    for v in t.vertices:
+        answer(equivalent, t, d, delta, {})
+        d[v] += 1
+
+
+def test_two_structures_queries_interleaved():
+    rng = random.Random(27)
+    g, s = c4()
+    t = random_name_tree(rng, 30)
+    chain = realize_on_subdivision(t, AbelianGroup((2, 6)), 0)
+    for pair in zip(queries(rng, g, s), queries(rng, *broom()), queries(rng, *chain)):
+        for call, *args in pair:
+            answer(call, *args)
+
+
+def test_one_structure_is_factored_once(monkeypatch):
+    t, s = broom()
+    built, smiths = [], []
+    smith = arithstruct.smith_normal_form
+
+    class Counting(arithstruct._Elimination):
+        def __init__(self, g, d):
+            built.append(g)
+            super().__init__(g, d)
+
+    def counting_smith(m):
+        smiths.append(m)
+        return smith(m)
+
+    monkeypatch.setattr(arithstruct, "_Elimination", Counting)
+    monkeypatch.setattr(arithstruct, "smith_normal_form", counting_smith)
+    delta = degree_zero_divisor(random.Random(28), t, s)
+    assert critical_group(t, s) == AbelianGroup((3, 18))
+    assert order_in_group(t, s, delta) > 1
+    assert equivalent(t, s.d, delta, {}) is None
+    assert len(built) == 1
+    assert smiths == [arithstruct._last[2].core]
+    # one changed d value is another factorization, and only the last is kept
+    d = dict(s.d)
+    d[t.vertices[0]] += 1
+    equivalent(t, d, delta, {})
+    assert len(built) == len(smiths) == 2
+    equivalent(t, s.d, delta, {})
+    assert len(built) == len(smiths) == 3
+
+
+def test_threads_sharing_the_memo_get_their_own_answers():
+    t, s = broom()
+    lap = laplacian_structure(t)
+    rng = random.Random(31)
+    cases = [(struct, degree_zero_divisor(rng, t, struct)) for struct in (s, lap)]
+    want = [order_in_group(t, struct, delta) for struct, delta in cases]
+    assert want[0] > 1 == want[1]
+    wrong = []
+
+    def work(k):
+        struct, delta = cases[k % 2]
+        for _ in range(300):
+            try:
+                got = order_in_group(t, struct, delta)
+            except Exception as exc:
+                got = exc
+            if got != want[k % 2]:
+                wrong.append(got)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []

@@ -467,6 +467,12 @@ def test_integers_must_be_plain_ascii_decimals(capsys, tmp_path, text):
     assert code == 2 and "is not a decimal integer" in err
 
 
+def test_a_broom_past_the_vertex_cap_exits_one_at_once(capsys):
+    code, out, err = invoke(capsys, "construct", "--group", "6", "--prongs", "1000000000000")
+    assert (code, out) == (1, "")
+    assert err == "error: the broom would exceed 100000 vertices\n"
+
+
 def test_group_entries_must_be_plain_ascii_decimals(capsys):
     # spaces around a comma-separated entry are list syntax, not the entry's
     for text in ("1_2", "\u0661\u0662", " 1_0 ", "2,1_2", "0x1f", "+ 2"):

@@ -67,6 +67,20 @@ def test_plan_validation():
         plan_broom(AbelianGroup((4,)), 0)
 
 
+def test_plan_broom_refuses_a_plan_past_its_cap_before_allocating():
+    # A Z/m broom with one prong plans 2 prong vertices and a tail of m - 1.
+    plan = plan_broom(AbelianGroup((99_999,)), 1)
+    cap = construct.MAX_BROOM_VERTICES
+    assert len(plan.prong_values) + len(plan.tail_values) == cap
+    for target, prongs in ((AbelianGroup((100_000,)), 1),
+                           (AbelianGroup((1_000_003,)), 1),
+                           (AbelianGroup((6, 6, 6, 6, 6 * 10 ** 6)), 5),
+                           (AbelianGroup((6,)), cap - 1),
+                           (AbelianGroup((6,)), 10 ** 12)):
+        with pytest.raises(ConstructError, match=f"exceed {cap} vertices"):
+            plan_broom(target, prongs)
+
+
 @pytest.mark.parametrize("flag", [True, False])
 def test_plan_broom_refuses_a_bool_prong_count(flag):
     with pytest.raises(ConstructError,
