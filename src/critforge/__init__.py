@@ -53,11 +53,9 @@ from .exactlinalg import (
     ExactLinalgError,
     IntegerMatrix,
     NonpositiveOrder,
-    NotADirectSummand,
     SmithDecomposition,
     determinantal_divisor,
     group_from_orders,
-    quotient_strip,
     smith_normal_form,
     solve_integer,
 )
@@ -85,12 +83,9 @@ from .graphcore import (
 from .mergestar import (
     MergeStarError,
     NotStarlike,
-    StarlikeStructureSummary,
     check_merge_additivity,
     merge_structures,
-    reduce_to_lstar,
     starlike_critical_group,
-    starlike_summary,
 )
 from .treedecomp import (
     CyclicClass,

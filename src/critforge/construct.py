@@ -212,13 +212,13 @@ def _separations(t: Tree, table: TwoMatchingTable) -> Iterator[tuple[str, str, s
     named as by ``subdivide``, and the irregularity so far.  A fresh vertex
     has degree two: it makes no branch pair and keeps the leaves, so one
     table serves every step."""
-    taken, fixed = set(t.vertices), len(t.leaves) - 2 - t.edge_count
+    taken = set(t.vertices)
     pairs = [(u, v) for u, v, _ in t.edges() if t.degree(u) >= 3 and t.degree(v) >= 3]
-    for k, (u, v) in enumerate(pairs, 1):
+    for u, v in pairs:
         x = fresh_name(f"{u}.{v}.1", taken)
         taken.add(x)
         table.separate(u, v, x)
-        yield u, v, x, fixed - k + table.nu2
+        yield u, v, x, table.iota
 
 
 def realize_on_subdivision(t: Tree, target: AbelianGroup, beta: int,
@@ -238,7 +238,7 @@ def realize_on_subdivision(t: Tree, target: AbelianGroup, beta: int,
     # iota(t), read off the table that the separation then updates; a path
     # has iota 0 and needs no table (the one-vertex tree has no leaf to root one at)
     table = None if t.is_path else TwoMatchingTable(t)
-    base_iota = 0 if table is None else len(t.leaves) - 2 - t.edge_count + table.nu2
+    base_iota = 0 if table is None else table.iota
     if not _is_int(beta) or not 0 <= beta <= base_iota:
         raise BetaOutOfRange(
             f"beta must lie in 0..{base_iota}, got {beta!r}"

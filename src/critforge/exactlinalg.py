@@ -7,7 +7,6 @@ finite abelian groups are invariant-factor tuples.  No floats anywhere.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
@@ -26,10 +25,6 @@ class IndexOutOfRange(ExactLinalgError):
 
 
 class NonpositiveOrder(ExactLinalgError):
-    pass
-
-
-class NotADirectSummand(ExactLinalgError):
     pass
 
 
@@ -406,20 +401,3 @@ def group_from_orders(orders: Iterable[int]) -> AbelianGroup:
                 vals[i] = a = g
     return AbelianGroup(tuple(x for x in vals if x > 1))
 
-
-def quotient_strip(g: AbelianGroup, h: AbelianGroup) -> AbelianGroup:
-    """Remove the invariant factors of ``h`` from ``g``, as multisets.
-
-    This is the complement of ``h`` inside ``g`` when ``h`` sits in ``g``
-    as a sublist of its invariant factors; if some factor of ``h`` is
-    missing from ``g`` the deletion is refused.
-    """
-    remaining = Counter(g.invariant_factors)
-    for x in h.invariant_factors:
-        if remaining[x] <= 0:
-            raise NotADirectSummand(
-                f"factor {x} of {h} does not appear in {g}"
-            )
-        remaining[x] -= 1
-    out = sorted(remaining.elements())
-    return AbelianGroup(tuple(out))

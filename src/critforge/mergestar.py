@@ -1,15 +1,13 @@
-"""Merging structures at a vertex, and the starlike shortcut matrix.
+"""Merging structures at a vertex, and critical groups on starlike trees.
 
 Two structures glued at a vertex scale into one structure on the wedge;
 when the glued r values are coprime the critical group is the direct
-sum of the two sides.  On starlike trees the full matrix collapses to
-a small square matrix indexed by tentacles plus the center, giving the
-critical group without touching most of the tree.
+sum of the two sides.  A starlike tree's group comes from the same
+diag(d) - A route as any other graph's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .arithstruct import (
@@ -18,13 +16,8 @@ from .arithstruct import (
     critical_group,
     validate,
 )
-from .exactlinalg import (
-    AbelianGroup,
-    IntegerMatrix,
-    group_from_orders,
-    quotient_strip,
-)
-from .graphcore import Graph, Tree, tentacles, wedge
+from .exactlinalg import AbelianGroup
+from .graphcore import Graph, Tree, wedge
 from .treedecomp import InternalInconsistency
 
 
@@ -102,87 +95,15 @@ def _additivity(g1: Graph, x: str, s1: ArithmeticalStructure, g2: Graph, y: str,
     return k1, k2, km, additive
 
 
-@dataclass(frozen=True)
-class StarlikeStructureSummary:
-    """Per-tentacle quotients controlling a starlike structure.
-
-    Tentacles are sorted by descending leaf quotient, ties broken by
-    vertex sequence; entry i of ``leaf_quotients`` is the center value
-    over the i-th leaf value, and ``first_quotients`` divides the first
-    tentacle vertex value by the leaf value.  Coprimality of each pair
-    comes with the territory.
-    """
-
-    center: str
-    center_value: int
-    center_degree_value: int
-    leaf_quotients: tuple[int, ...]
-    first_quotients: tuple[int, ...]
-
-
-def starlike_summary(t: Tree, s: ArithmeticalStructure) -> StarlikeStructureSummary:
-    if not (isinstance(t, Tree) and t.is_starlike):
-        raise NotStarlike("summary needs a tree with exactly one branch vertex")
-    ok, bad = validate(t, s.d, s.r)
-    if not ok:
-        raise ArithStructError(f"invalid structure: {bad[0]}")
-    (center,) = t.branch_vertices
-    r0 = s.r[center]
-    entries = []
-    for ten in tentacles(t):
-        r_leaf = s.r[ten.leaf]
-        r_first = s.r[ten.vertices[0]]
-        if r0 % r_leaf or r_first % r_leaf:
-            raise MergeStarError(
-                f"leaf value {r_leaf} fails to divide along tentacle {ten.vertices}"
-            )
-        entries.append((r0 // r_leaf, r_first // r_leaf, ten.vertices))
-    entries.sort(key=lambda e: (-e[0], e[2]))
-    leaf_q = [e[0] for e in entries]
-    first_q = [e[1] for e in entries]
-    for a, b in zip(leaf_q, first_q):
-        if gcd(a, b) != 1:
-            raise InternalInconsistency(f"tentacle quotients {a} and {b} are not coprime")
-    return StarlikeStructureSummary(
-        center=center,
-        center_value=r0,
-        center_degree_value=s.d[center],
-        leaf_quotients=tuple(leaf_q),
-        first_quotients=tuple(first_q),
-    )
-
-
-def reduce_to_lstar(t: Tree, s: ArithmeticalStructure) -> IntegerMatrix:
-    """Collapse a starlike structure to its tentacle-by-center matrix.
-
-    The matrix is square of side one more than the tentacle count:
-    diagonal the leaf quotients then the center d value, last column
-    minus the first quotients, last row all minus one.  Its Smith form
-    padded with ones is the Smith form of the full matrix.
-    """
-    summary = starlike_summary(t, s)
-    ell = len(summary.leaf_quotients)
-    rows = []
-    for i in range(ell):
-        row = [0] * (ell + 1)
-        row[i] = summary.leaf_quotients[i]
-        row[ell] = -summary.first_quotients[i]
-        rows.append(row)
-    rows.append([-1] * ell + [summary.center_degree_value])
-    return IntegerMatrix(rows)
-
-
 def starlike_critical_group(t: Tree, s: ArithmeticalStructure) -> AbelianGroup:
-    """Critical group of a starlike structure by the quotient formula.
+    """``critical_group`` of a structure on a starlike tree.
 
-    The direct sum of cyclic groups of the leaf-quotient orders covers
-    the group plus two extra copies of the center value; stripping them
-    recovers the group.  The tests compare this route with the
-    full-matrix ``critical_group``.
+    Refuses any other graph with ``NotStarlike``.  The paper's quotient
+    formula (the sum of Z/(r0 / r_leaf) over the tentacles, less two
+    copies of Z/r0) is a test oracle, not a second route: right after
+    ``critical_group`` on the same (t, s) this call reuses its
+    factorization, while a cold call costs a full ``critical_group``.
     """
-    summary = starlike_summary(t, s)
-    r0 = summary.center_value
-    total = group_from_orders(summary.leaf_quotients)
-    if r0 == 1:
-        return total
-    return quotient_strip(total, group_from_orders([r0, r0]))
+    if not (isinstance(t, Tree) and t.is_starlike):
+        raise NotStarlike("needs a tree with exactly one branch vertex")
+    return critical_group(t, s)

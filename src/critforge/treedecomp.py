@@ -206,7 +206,7 @@ def iota(t: Tree) -> int:
     """
     if t.is_path or t.is_starlike:
         return 0
-    return len(t.leaves) - 2 - t.edge_count + two_matching_number(t)
+    return TwoMatchingTable(t).iota
 
 
 def two_matching_number(t: Tree) -> int:
@@ -232,6 +232,8 @@ class TwoMatchingTable:
 
     def __init__(self, t: Tree):
         self.root = t.leaves[0]
+        # leaves - 2 - edges; ``separate`` adds an edge and no leaf
+        self._excess = len(t.leaves) - 2 - t.edge_count
         self.parent: dict[str, str | None] = {self.root: None}
         order = [self.root]
         for v in order:
@@ -250,12 +252,18 @@ class TwoMatchingTable:
     def nu2(self) -> int:
         return self._share(self.root)[0]
 
+    @property
+    def iota(self) -> int:
+        """leaves - 2 - edges + nu2, the tree's ``iota`` (see there)."""
+        return self._excess + self.nu2
+
     def _share(self, v: str) -> tuple[int, int]:
         """What v adds to its parent's ``base`` and ``ones``."""
         return self.base[v] + min(self.ones[v], 2), int(self.ones[v] < 2)
 
     def separate(self, u: str, v: str, x: str) -> None:
         """Put the new vertex x on the edge u-v."""
+        self._excess -= 1
         c = v if self.parent[v] == u else u
         old = self._share(c)
         self.parent[x], self.parent[c] = self.parent[c], x

@@ -2,11 +2,18 @@
 
 Each function is a small, obviously-correct (and mostly exponential-time)
 reference implementation; the tests compare library results against these
-on inputs where the brute force is feasible.  Only ``smith_invariant_factors``
-imports the package under test: it keeps the former production route for
-cyclic sums, whose Smith form is itself checked against ``minor_gcd``.
+on inputs where the brute force is feasible.  Two groups of oracles import
+the package under test.  ``smith_invariant_factors`` keeps the former
+production route for cyclic sums, whose Smith form is itself checked against
+``minor_gcd``.  The starlike quotient oracles (``starlike_summary``,
+``reduce_to_lstar``, ``quotient_strip`` and ``starlike_group``) keep the
+former second route to a starlike critical group: they walk the tentacles
+from the edge list themselves and take from the package only its value types
+and ``group_from_orders``, never a Smith form or an elimination.
 """
 
+from collections import Counter
+from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, product
 from math import gcd
@@ -224,3 +231,132 @@ def reference_decomposition(edges, prefer):
         rest = {e for e in rest if e[0] not in piece and e[1] not in piece}
         regular = sum(target in e for e in rest) == 1
         splits.append((c, piece_edges, leaf, target, regular, rest))
+
+
+class NotStarlike(ValueError):
+    """The quotient oracles need a tree with exactly one branch vertex."""
+
+
+class NotADirectSummand(ValueError):
+    """``quotient_strip`` was asked for a factor that is not there."""
+
+
+@dataclass(frozen=True)
+class StarlikeStructureSummary:
+    """Per-tentacle quotients controlling a starlike structure.
+
+    Tentacles are sorted by descending leaf quotient, ties broken by
+    vertex sequence; entry i of ``leaf_quotients`` is the center value
+    over the i-th leaf value, and ``first_quotients`` divides the first
+    tentacle vertex value by the leaf value.  Each pair is coprime.
+    """
+
+    center: str
+    center_value: int
+    center_degree_value: int
+    leaf_quotients: tuple
+    first_quotients: tuple
+
+
+def starlike_summary(g, s):
+    """The tentacle quotients of structure ``s`` on the starlike tree ``g``.
+
+    Reads only ``g.edges()``, ``s.r`` and ``s.d``.  Refuses a graph that
+    is not a tree with one branch vertex, a labelling that is not a
+    structure (r positive with gcd 1, and d(v) r(v) the sum of the
+    neighbours' r), a leaf value that fails to divide its tentacle's
+    first value or the center value, and a non-coprime quotient pair.
+    """
+    adj = {}
+    for u, v, mult in g.edges():
+        adj.setdefault(u, {})[v] = mult
+        adj.setdefault(v, {})[u] = mult
+    branch = [v for v, nbrs in adj.items() if len(nbrs) >= 3]
+    simple = all(m == 1 for nbrs in adj.values() for m in nbrs.values())
+    if len(branch) != 1 or not simple or 2 * len(adj) - 2 != sum(map(len, adj.values())):
+        raise NotStarlike("not a tree with exactly one branch vertex")
+    r, d = s.r, s.d
+    if min(r[v] for v in adj) < 1 or reduce(gcd, (r[v] for v in adj)) != 1 or any(
+        d[v] * r[v] != sum(m * r[u] for u, m in adj[v].items()) for v in adj
+    ):
+        raise ValueError("invalid structure")
+    (center,) = branch
+    r0 = r[center]
+    entries = []
+    for first in adj[center]:
+        seq, prev = [first], center
+        while len(adj[seq[-1]]) == 2:
+            nxt = next(u for u in adj[seq[-1]] if u != prev)
+            prev = seq[-1]
+            seq.append(nxt)
+        r_leaf, r_first = r[seq[-1]], r[first]
+        if r0 % r_leaf or r_first % r_leaf:
+            raise ValueError(f"leaf value {r_leaf} fails to divide along tentacle {seq}")
+        entries.append((r0 // r_leaf, r_first // r_leaf, tuple(seq)))
+    entries.sort(key=lambda e: (-e[0], e[2]))
+    for a, b, seq in entries:
+        if gcd(a, b) != 1:
+            raise ValueError(f"tentacle quotients {a} and {b} along {seq} are not coprime")
+    return StarlikeStructureSummary(
+        center=center,
+        center_value=r0,
+        center_degree_value=d[center],
+        leaf_quotients=tuple(e[0] for e in entries),
+        first_quotients=tuple(e[1] for e in entries),
+    )
+
+
+def reduce_to_lstar(g, s):
+    """The tentacle-by-center matrix of a starlike structure.
+
+    Square of side one more than the tentacle count: diagonal the leaf
+    quotients then the center d value, last column minus the first
+    quotients, last row all minus one.  Its Smith form padded with ones
+    is the Smith form of the full matrix diag(d) - A.
+    """
+    from critforge import IntegerMatrix
+
+    summary = starlike_summary(g, s)
+    ell = len(summary.leaf_quotients)
+    rows = []
+    for i in range(ell):
+        row = [0] * (ell + 1)
+        row[i] = summary.leaf_quotients[i]
+        row[ell] = -summary.first_quotients[i]
+        rows.append(row)
+    rows.append([-1] * ell + [summary.center_degree_value])
+    return IntegerMatrix(rows)
+
+
+def quotient_strip(g, h):
+    """Remove the invariant factors of group ``h`` from group ``g``, as multisets.
+
+    This is the complement of ``h`` inside ``g`` when ``h`` sits in ``g``
+    as a sublist of its invariant factors; if some factor of ``h`` is
+    missing from ``g`` the deletion is refused.
+    """
+    from critforge import AbelianGroup
+
+    remaining = Counter(g.invariant_factors)
+    for x in h.invariant_factors:
+        if remaining[x] <= 0:
+            raise NotADirectSummand(f"factor {x} of {h} does not appear in {g}")
+        remaining[x] -= 1
+    return AbelianGroup(tuple(sorted(remaining.elements())))
+
+
+def starlike_group(g, s):
+    """The critical group of a starlike structure by the quotient formula.
+
+    The direct sum of cyclic groups of the leaf-quotient orders is the
+    group plus two extra copies of Z/r0, r0 the center value; stripping
+    them recovers the group.
+    """
+    from critforge import group_from_orders
+
+    summary = starlike_summary(g, s)
+    r0 = summary.center_value
+    total = group_from_orders(summary.leaf_quotients)
+    if r0 == 1:
+        return total
+    return quotient_strip(total, group_from_orders([r0, r0]))

@@ -9,7 +9,13 @@ import itertools
 import random
 from math import gcd
 
-from bruteforce import fire_simulation, minor_gcd
+from bruteforce import (
+    fire_simulation,
+    minor_gcd,
+    reduce_to_lstar,
+    starlike_group,
+    starlike_summary,
+)
 from corpus import (
     adjacency_map,
     all_trees,
@@ -45,11 +51,9 @@ from critforge import (
     merge_structures,
     order_in_group,
     realize_on_subdivision,
-    reduce_to_lstar,
     smith_normal_form,
     solve_integer,
     starlike_critical_group,
-    starlike_summary,
     structure_from_r,
     tentacles,
     tree_order_formula,
@@ -110,9 +114,9 @@ def test_04_starlike_summary_agrees_with_smith_route():
     t, s = load_structure("fig3_broom")
     summary = starlike_summary(t, s)
     assert summary.leaf_quotients == (324, 324, 18, 3)
-    shortcut = starlike_critical_group(t, s)
+    shortcut = starlike_group(t, s)
     assert shortcut == AbelianGroup((3, 18))
-    assert shortcut == critical_group(t, s)
+    assert shortcut == critical_group(t, s) == starlike_critical_group(t, s)
 
 
 def test_05_large_tree_matching_and_bound():
@@ -182,7 +186,7 @@ def test_08_corpus_sweep_group_laws():
             if cyclic_only:
                 assert len(k.invariant_factors) <= 1
             if starlike:
-                assert starlike_critical_group(t, s) == k
+                assert starlike_critical_group(t, s) == k == starlike_group(t, s)
     assert total == 82717
 
     # Merging random structure pairs: the order identity carries the

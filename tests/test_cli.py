@@ -212,14 +212,15 @@ def test_iota_and_nu2_reports(capsys):
 
 
 def test_iota_runs_the_two_matching_dp_once(capsys, monkeypatch):
+    # every route to the DP, two_matching_number included, builds a table
     calls = []
-    real = treedecomp.two_matching_number
+    real = treedecomp.TwoMatchingTable.__init__
 
-    def counting(t):
+    def counting(self, t):
         calls.append(t.vertex_count)
-        return real(t)
+        real(self, t)
 
-    monkeypatch.setattr(treedecomp, "two_matching_number", counting)
+    monkeypatch.setattr(treedecomp.TwoMatchingTable, "__init__", counting)
     got = invoke_ok(capsys, "iota", "--input", fixture_path("fig4_tree"))
     assert got == {"bound": 7, "iota": 3, "leaves": 12}
     assert calls == [22]

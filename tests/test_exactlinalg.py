@@ -11,15 +11,20 @@ from critforge import (
     ExactLinalgError,
     IntegerMatrix,
     NonpositiveOrder,
-    NotADirectSummand,
     determinantal_divisor,
     group_from_orders,
-    quotient_strip,
     smith_normal_form,
     solve_integer,
 )
 
-from bruteforce import det, minor_gcd, small_solution, smith_invariant_factors
+from bruteforce import (
+    NotADirectSummand,
+    det,
+    minor_gcd,
+    quotient_strip,
+    small_solution,
+    smith_invariant_factors,
+)
 
 entries = st.integers(min_value=-30, max_value=30)
 

@@ -1,11 +1,18 @@
-"""Gluing structures at a vertex and the starlike shortcut matrix."""
+"""Gluing structures at a vertex, and starlike critical groups against the
+quotient-formula oracle."""
 
 import random
 from math import gcd
 
 import pytest
 
-from bruteforce import smith_invariant_factors
+import bruteforce
+from bruteforce import (
+    reduce_to_lstar,
+    smith_invariant_factors,
+    starlike_group,
+    starlike_summary,
+)
 from corpus import (
     all_trees,
     count_calls,
@@ -16,7 +23,7 @@ from corpus import (
     star_tree,
     sweep_config,
 )
-from critforge import exactlinalg, mergestar
+from critforge import arithstruct, exactlinalg, mergestar
 from critforge import (
     AbelianGroup,
     ArithStructError,
@@ -32,10 +39,8 @@ from critforge import (
     laplacian,
     laplacian_structure,
     merge_structures,
-    reduce_to_lstar,
     smith_normal_form,
     starlike_critical_group,
-    starlike_summary,
     structure_from_r,
 )
 
@@ -125,16 +130,37 @@ def test_summary_of_the_broom():
 
 def test_summary_needs_a_starlike_tree():
     t, s = load("fig3_broom")
-    with pytest.raises(NotStarlike):
+    with pytest.raises(bruteforce.NotStarlike):
         starlike_summary(path_tree(4), laplacian_structure(path_tree(4)))
     pt = running_example_tree()
-    with pytest.raises(NotStarlike):
+    with pytest.raises(bruteforce.NotStarlike):
         starlike_summary(pt, laplacian_structure(pt))
     broken = ArithmeticalStructure(
         graph=t, r=dict(s.r), d={v: 7 for v in t.vertices}
     )
-    with pytest.raises(ArithStructError):
+    with pytest.raises(ValueError, match="invalid structure"):
         starlike_summary(t, broken)
+
+
+def test_the_starlike_call_reuses_the_factorization_and_refuses_as_before(monkeypatch):
+    t, s = load("fig3_broom")
+    built = count_calls(monkeypatch, arithstruct, "_Elimination")
+    smiths = count_calls(monkeypatch, exactlinalg, "smith_normal_form")
+    assert critical_group(t, s) == AbelianGroup((3, 18))
+    assert starlike_critical_group(t, s) == AbelianGroup((3, 18))
+    assert len(built) == 1
+    assert len(smiths) == 1
+
+    with pytest.raises(NotStarlike):
+        starlike_critical_group(path_tree(4), laplacian_structure(path_tree(4)))
+    pt = running_example_tree()
+    with pytest.raises(NotStarlike):
+        starlike_critical_group(pt, laplacian_structure(pt))
+    broken = ArithmeticalStructure(
+        graph=t, r=dict(s.r), d={v: 7 for v in t.vertices}
+    )
+    with pytest.raises(ArithStructError):
+        starlike_critical_group(t, broken)
 
 
 def test_reduced_matrix_of_the_broom():
@@ -149,20 +175,23 @@ def test_reduced_matrix_of_the_broom():
 
 
 def test_quotient_route_matches_the_matrix_route():
-    t, s = load("fig3_broom")
-    assert starlike_critical_group(t, s) == AbelianGroup((3, 18))
-    g1, s1 = load("fig1_star3")
-    assert starlike_critical_group(g1, s1) == AbelianGroup((2,))
-    g2, s2 = load("fig1_star4")
-    assert starlike_critical_group(g2, s2) == AbelianGroup((2, 6))
     big = star_tree(5)
-    assert starlike_critical_group(big, laplacian_structure(big)).is_trivial
+    cases = [
+        (load("fig3_broom"), AbelianGroup((3, 18))),
+        (load("fig1_star3"), AbelianGroup((2,))),
+        (load("fig1_star4"), AbelianGroup((2, 6))),
+        ((big, laplacian_structure(big)), AbelianGroup(())),
+    ]
+    for (t, s), want in cases:
+        assert starlike_group(t, s) == want
+        assert critical_group(t, s) == want
+        assert starlike_critical_group(t, s) == want
 
 
 def test_only_the_matrix_route_runs_a_smith_form(monkeypatch):
     t, s = load("fig3_broom")
     calls = count_calls(monkeypatch, exactlinalg, "smith_normal_form")
-    assert starlike_critical_group(t, s) == AbelianGroup((3, 18))
+    assert starlike_group(t, s) == AbelianGroup((3, 18))
     assert AbelianGroup((2, 6)).direct_sum(AbelianGroup((4, 12))) == AbelianGroup((2, 2, 12, 12))
     assert calls == []
     assert critical_group(t, s) == AbelianGroup((3, 18))
@@ -180,6 +209,8 @@ def test_quotient_sums_match_the_smith_route_on_every_small_starlike_structure()
             for orders in (summary.leaf_quotients, (r0, r0)):
                 want = smith_invariant_factors(orders)
                 assert group_from_orders(orders).invariant_factors == want, orders
+            k = critical_group(t, s)
+            assert starlike_critical_group(t, s) == k == starlike_group(t, s)
             count += 1
     assert count == 11019
 
@@ -200,7 +231,7 @@ def test_reduced_matrix_has_the_same_smith_form_padded():
         pad = t.vertex_count - len(small)
         assert pad >= 0
         assert full == sorted(small + [1] * pad)
-        assert starlike_critical_group(t, s) == critical_group(t, s)
+        assert starlike_group(t, s) == critical_group(t, s)
 
 
 def _prime_power_parts(n):
