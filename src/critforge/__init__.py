@@ -94,11 +94,9 @@ from .treedecomp import (
     StarlikeSplitting,
     TreeDecompError,
     cyclic_classification,
-    has_adjacent_branch_vertices,
     invariant_factor_bound,
     iota,
     starlike_decomposition,
-    starlike_split,
     two_matching_number,
 )
 

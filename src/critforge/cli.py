@@ -87,29 +87,36 @@ def _echo(text: str) -> str:
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
+def _decimal(text: str) -> int:
+    """The one decimal parser; its ValueError says why ``text`` is refused."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"{_echo(text)} is not a decimal integer")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(
+            f"{_echo(text)} has {len(text.lstrip('+-'))} digits, more "
+            f"than the {sys.get_int_max_str_digits()} that can be read"
+        ) from None
+
+
 def _decimal_arg(text: str) -> int:
     """argparse type for the integer flags."""
-    if not _DECIMAL.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"{_echo(text)} is not a decimal integer")
-    return int(text)
+    try:
+        return _decimal(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _as_int(value: Any, what: str) -> int:
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise UsageError(f"{what}: expected an integer, got {value!r}")
     if isinstance(value, int):
         return value
-    if isinstance(value, str):
-        if not _DECIMAL.fullmatch(value):
-            raise UsageError(f"{what}: {_echo(value)} is not a decimal integer")
-        try:
-            return int(value)
-        except ValueError:
-            raise UsageError(
-                f"{what}: {_echo(value)} has {len(value.lstrip('+-'))} digits, more "
-                f"than the {sys.get_int_max_str_digits()} that can be read"
-            ) from None
-    raise UsageError(f"{what}: expected an integer, got {value!r}")
+    try:
+        return _decimal(value)
+    except ValueError as exc:
+        raise UsageError(f"{what}: {exc}") from None
 
 
 def _too_large() -> OutputTooLarge:
@@ -179,22 +186,9 @@ def parse_document(text: str) -> tuple[Graph, dict[str, int] | None, dict[str, i
         raise UsageError(
             "'vertices' does not match the endpoints of 'edges'"
         )
-
-    def read_map(key: str) -> dict[str, int] | None:
-        raw = data.get(key)
-        if raw is None:
-            return None
-        if not isinstance(raw, dict):
-            raise UsageError(f"{key!r} must be a map")
-        out = {}
-        for k, val in raw.items():
-            k = str(k)
-            if not g.has_vertex(k):
-                raise UsageError(f"{key!r} mentions unknown vertex {k!r}")
-            out[k] = _as_int(val, f"{key}[{k}]")
-        return out
-
-    return g, read_map("r"), read_map("d")
+    r, d = (None if data.get(key) is None else _vertex_map(g, data[key], key)
+            for key in ("r", "d"))
+    return g, r, d
 
 
 def load_document(path: str) -> tuple[Graph, dict[str, int] | None, dict[str, int] | None]:
@@ -237,10 +231,10 @@ def _emit(obj: Any) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _parse_chips(g: Graph, text: str, what: str) -> dict[str, int]:
-    raw = _load_json(text, what)
+def _vertex_map(g: Graph, raw: Any, what: str) -> dict[str, int]:
+    """A map of g's vertices to integers; ``what`` labels the messages."""
     if not isinstance(raw, dict):
-        raise UsageError(f"{what} must be a JSON map")
+        raise UsageError(f"{what} must be a map")
     out = {}
     for k, val in raw.items():
         k = str(k)
@@ -302,7 +296,7 @@ def cmd_group(ns: argparse.Namespace) -> int:
 def cmd_divisor(ns: argparse.Namespace) -> int:
     g, r, d = load_document(ns.input)
     s = _need_structure(g, r, d)
-    chips = _parse_chips(g, ns.chips, "--chips")
+    chips = _vertex_map(g, _load_json(ns.chips, "--chips"), "--chips")
     if ns.op == "degree":
         _emit({"degree": divisor_degree(full_divisor(g, chips), s.r)})
     elif ns.op == "order":
@@ -310,7 +304,7 @@ def cmd_divisor(ns: argparse.Namespace) -> int:
     else:
         if ns.other is None:
             raise UsageError("--op equivalent needs --other")
-        other = _parse_chips(g, ns.other, "--other")
+        other = _vertex_map(g, _load_json(ns.other, "--other"), "--other")
         witness = equivalent(g, s.d, chips, other)
         _emit({
             "equivalent": witness is not None,

@@ -10,7 +10,8 @@ finish on every tree this module accepts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
+from typing import Iterable, Iterator
 
 from .arithstruct import ArithmeticalStructure, structure_from_r
 from .graphcore import Tree, _is_int
@@ -42,12 +43,14 @@ class EnumerationConfig:
             raise ValueError(f"vertex_cap must lie in 1..12, got {self.vertex_cap!r}")
 
 
-def _divisor_table(bound: int) -> list[list[int]]:
-    divs: list[list[int]] = [[] for _ in range(bound + 1)]
-    for d in range(1, bound + 1):
-        for mult in range(d, bound + 1, d):
-            divs[mult].append(d)
-    return divs
+def _divisors(x: int) -> list[int]:
+    """The divisors of x in increasing order, by trial division."""
+    low = [d for d in range(1, isqrt(x) + 1) if x % d == 0]
+    return low + [x // d for d in reversed(low) if d * d != x]
+
+
+def _congruent(xs: Iterable[int], m: int, a: int) -> Iterator[int]:
+    return (x for x in xs if x % m == a)
 
 
 def enumerate_structures(t: Tree, config: EnumerationConfig | None = None,
@@ -104,24 +107,23 @@ def enumerate_structures(t: Tree, config: EnumerationConfig | None = None,
     # a leaf other than the root must divide its parent's value
     leaf_parent = [parent[v] if t.degree(v) == 1 else None for v in order]
 
-    divs = _divisor_table(bound)
     r: dict[str, int] = {}
     found: list[tuple[int, ...]] = []
 
-    def candidates(i: int) -> list[int]:
+    def candidates(i: int) -> Iterable[int]:
+        """Step i's values in increasing order, made as they are read, so
+        memory follows the search and not the bound."""
         p = leaf_parent[i]
-        base = range(1, bound + 1) if p is None else divs[r[p]]
         residue = [(r[u], (-sum(r[w] for w in rest)) % r[u]) for u, rest in pinners[i]]
         if not residue:
-            return list(base)
-        m0, a0 = residue[0]
-        start = a0 if a0 else m0
-        hits = [x for x in range(start, bound + 1, m0)]
+            return range(1, bound + 1) if p is None else _divisors(r[p])
+        (m0, a0), *others = residue
+        top = bound if p is None else r[p]
+        hits: Iterable[int] = range(a0 or m0, top + 1, m0)
         if p is not None:
-            allowed = set(base)
-            hits = [x for x in hits if x in allowed]
-        for m, a in residue[1:]:
-            hits = [x for x in hits if x % m == a]
+            hits = (x for x in hits if top % x == 0)
+        for m, a in others:
+            hits = _congruent(hits, m, a)
         return hits
 
     def ok_after(i: int) -> bool:

@@ -13,8 +13,6 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterator
 
 from .graphcore import Tentacle, Tree, fresh_name, tentacles
 
@@ -39,11 +37,10 @@ class StarlikeSplitting:
 
     ``piece`` contains the chosen branch vertex ``center``, its
     ``tentacles``, and the fresh leaf ``merge_leaf`` standing in for the
-    remainder.  ``tentacles`` leaves out the merge leaf and is sorted by
-    vertex sequence, each attached at ``center``.  ``target`` is the
-    vertex of ``remainder`` the merge leaf represents.  A splitting is
-    regular when the target is a leaf of the remainder.  The remainder
-    is built from the original tree when first read.
+    rest of the tree.  ``tentacles`` leaves out the merge leaf and is
+    sorted by vertex sequence, each attached at ``center``.  ``target``
+    is the vertex of the rest that the merge leaf represents.  A
+    splitting is regular when the target is a leaf of the rest.
     """
 
     piece: Tree
@@ -52,14 +49,6 @@ class StarlikeSplitting:
     regular: bool
     center: str
     tentacles: tuple[Tentacle, ...]
-    _tree: Tree = field(repr=False, compare=False)
-    _gone_at: dict[str, int] = field(repr=False, compare=False)
-    _step: int = field(repr=False, compare=False)
-
-    @cached_property
-    def remainder(self) -> Tree:
-        t, step = self._tree, self._step
-        return Tree(_induced(t, {v for v in t.vertices if self._gone_at.get(v, step + 1) > step}))
 
 
 @dataclass(frozen=True)
@@ -67,15 +56,16 @@ class StarlikeDecomposition:
     """Ordered starlike pieces of a tree.
 
     ``pieces[i]`` for i below the number of splittings is the piece of
-    ``splittings[i]``; the final piece is the last remainder, either
-    starlike or a path, and carries no merge leaf.  ``irregular_count``
-    is the number of irregular splittings.  ``tentacles(i)`` gives piece
-    i's tentacles, read off the pass for every piece but the last.
+    ``splittings[i]``; the final piece is what the splittings leave,
+    either starlike or a path, and carries no merge leaf.
+    ``irregular_count`` is the number of irregular splittings.
+    ``tentacles(i)`` gives piece i's tentacles, read off the pass.
     """
 
     pieces: tuple[Tree, ...]
     splittings: tuple[StarlikeSplitting, ...]
     irregular_count: int
+    _tentacles: tuple[tuple[Tentacle, ...], ...] = field(repr=False, compare=False)
 
     @property
     def last_piece(self) -> Tree:
@@ -90,55 +80,53 @@ class StarlikeDecomposition:
     def tentacles(self, i: int) -> tuple[Tentacle, ...]:
         """Tentacles of piece i other than its merge leaf, sorted by
         vertex sequence; none when the last piece is a path."""
-        i = range(len(self.pieces))[i]
-        if i < len(self.splittings):
-            return self.splittings[i].tentacles
-        return self._last_tentacles
-
-    @cached_property
-    def _last_tentacles(self) -> tuple[Tentacle, ...]:
-        return tuple(tentacles(self.last_piece))
+        return self._tentacles[i]
 
 
 def _induced(t: Tree, keep: set[str]) -> dict[str, dict[str, int]]:
     return {v: {w: 1 for w in t.neighbors(v) if w in keep} for v in keep}
 
 
-def _splits(t: Tree, prefer: str) -> Iterator[StarlikeSplitting]:
-    """The splittings of ``t`` in order, from one leaf-first pass.
+def _sorted_tentacles(arms: list[list[str]], c: str) -> tuple[Tentacle, ...]:
+    """Leaf-first arms at ``c`` as tentacles, sorted by vertex sequence."""
+    return tuple(sorted((Tentacle(tuple(reversed(arm)), c) for arm in arms),
+                        key=lambda ten: ten.vertices))
 
-    A branch vertex is peripheral when its degree exceeds its tentacle
-    count by one.  A cut only lowers the target's degree, so only the
-    target, and the branch vertex a new or grown tentacle reaches, can
-    change status; they go on the heap, which is checked as it is read.
-    Tentacles are kept leaf first, so each vertex is walked O(1) times;
-    each splitting hands them over as its piece's tentacles.
+
+def starlike_decomposition(t: Tree) -> StarlikeDecomposition:
+    """Split starlike pieces off, lowest peripheral branch vertex first,
+    until what is left is starlike or a path.
+
+    One leaf-first pass over ``t``, O(n log n) for n vertices, building
+    one ``Tree`` per piece.  A branch vertex is peripheral when its
+    degree exceeds its tentacle count by one.  A cut only lowers the
+    target's degree, so only the target, and the branch vertex a new or
+    grown tentacle reaches, can change status; they go on the heap,
+    which is checked as it is read.  Tentacles ("arms") are kept leaf
+    first, so each vertex is walked O(1) times, and every piece,
+    the last one too, takes its tentacles from them.
     """
-    if prefer not in ("lowest", "highest"):
-        raise ValueError(f"prefer must be 'lowest' or 'highest', not {prefer!r}")
     deg = {v: t.degree(v) for v in t.vertices}
-    branches = sum(d >= 3 for d in deg.values())
+    branches = len(t.branch_vertices)
     arms: dict[str, list[list[str]]] = {}
     for ten in tentacles(t):
         arms.setdefault(ten.attachment, []).append(list(reversed(ten.vertices)))
-    rank = {v: i if prefer == "lowest" else -i for i, v in enumerate(t.vertices)}
-    heap = sorted((rank[v], v) for v in t.vertices if deg[v] >= 3)
+    heap = list(t.branch_vertices)  # sorted, so already a heap
     live = set(t.vertices)
-    gone_at: dict[str, int] = {}
 
-    def grow(ten: list[str], prev: str | None, cur: str) -> None:
-        """Run a tentacle on through ``cur`` and degree-two vertices to a branch."""
+    def grow(arm: list[str], prev: str | None, cur: str) -> None:
+        """Run an arm on through ``cur`` and degree-two vertices to a branch."""
         while deg[cur] < 3:
-            ten.append(cur)
+            arm.append(cur)
             prev, (cur,) = cur, [x for x in t.neighbors(cur) if x in live and x != prev]
-        arms.setdefault(cur, []).append(ten)
-        heapq.heappush(heap, (rank[cur], cur))
+        arms.setdefault(cur, []).append(arm)
+        heapq.heappush(heap, cur)
 
-    step = 0
+    splittings = []
     while branches >= 2:
         if not heap:
             raise InternalInconsistency("no peripheral branch vertex in a non-path tree")
-        c = heapq.heappop(heap)[1]
+        c = heapq.heappop(heap)
         if c not in live or deg[c] < 3 or deg[c] - len(arms.get(c, ())) != 1:
             continue
         own = arms.pop(c)
@@ -149,51 +137,29 @@ def _splits(t: Tree, prefer: str) -> Iterator[StarlikeSplitting]:
         adj[c][merge_leaf] = 1
         adj[merge_leaf] = {c: 1}
         live -= cut
-        gone_at.update(dict.fromkeys(cut, step))
         deg[w] -= 1
         branches -= 1 + (deg[w] == 2)
-        if branches >= 2:
-            if deg[w] == 1:
-                grow([], None, w)
-            elif deg[w] == 2:
-                # w stops branching; a lone tentacle runs on through it
-                for ten in arms.pop(w, ()):
-                    grow(ten, ten[-1], w)
-            else:
-                heapq.heappush(heap, (rank[w], w))
-        tens = sorted((Tentacle(tuple(reversed(ten)), c) for ten in own),
-                      key=lambda ten: ten.vertices)
-        yield StarlikeSplitting(Tree(adj), merge_leaf, w, deg[w] == 1, c, tuple(tens),
-                                t, gone_at, step)
-        step += 1
-
-
-def starlike_split(t: Tree, prefer: str = "lowest") -> StarlikeSplitting | None:
-    """Split one starlike piece off a tree, or None if it is already a piece.
-
-    Trees with fewer than two branch vertices (paths and starlike trees)
-    cannot be split further and yield None.  This is the first step of
-    ``starlike_decomposition``'s pass, with its remainder built.
-    """
-    for sp in _splits(t, prefer):
-        sp.remainder  # a single split hands back its remainder built
-        return sp
-    return None
-
-
-def starlike_decomposition(t: Tree, prefer: str = "lowest") -> StarlikeDecomposition:
-    """Split starlike pieces off until the remainder is starlike or a path.
-
-    One leaf-first pass over ``t``, O(n log n) for n vertices, building
-    one ``Tree`` per piece; the last piece is the last split's remainder,
-    and no other remainder is built unless it is read.
-    """
-    splittings = tuple(_splits(t, prefer))
+        if deg[w] == 1:
+            grow([], None, w)
+        elif deg[w] == 2 and branches:
+            # w stops branching; a lone arm runs on through it
+            for arm in arms.pop(w, ()):
+                grow(arm, arm[-1], w)
+        elif deg[w] >= 3:
+            heapq.heappush(heap, w)
+        splittings.append(StarlikeSplitting(Tree(adj), merge_leaf, w, deg[w] == 1, c,
+                                            _sorted_tentacles(own, c)))
+    last: tuple[Tentacle, ...] = ()
+    if branches:
+        # the keys of ``arms`` are live branch vertices: one is left
+        ((c, own),) = arms.items()
+        last = _sorted_tentacles(own, c)
     return StarlikeDecomposition(
         pieces=tuple(sp.piece for sp in splittings)
-        + (splittings[-1].remainder if splittings else t,),
-        splittings=splittings,
+        + (Tree(_induced(t, live)) if splittings else t,),
+        splittings=tuple(splittings),
         irregular_count=sum(not sp.regular for sp in splittings),
+        _tentacles=tuple(sp.tentacles for sp in splittings) + (last,),
     )
 
 
@@ -296,9 +262,3 @@ def cyclic_classification(t: Tree) -> CyclicClass:
     if invariant_factor_bound(t) <= 1:
         return CyclicClass.ALL_CYCLIC
     return CyclicClass.ADMITS_NONCYCLIC
-
-
-def has_adjacent_branch_vertices(t: Tree) -> bool:
-    return any(
-        t.degree(u) >= 3 and t.degree(v) >= 3 for u, v, _ in t.edges()
-    )

@@ -494,6 +494,14 @@ def test_plain_decimals_keep_their_signs_and_the_digit_limit(capsys):
     assert code == 2
     assert err.startswith("usage error: --group entry:")
     assert "5001 digits" in err and len(err) < 200
+    tree = fixture_path("t1")
+    for argv in (("construct", "--group", "6", "--prongs", HUGE),
+                 ("construct", "--group", "6", "--tree", tree, "--beta", HUGE),
+                 ("enumerate", "--input", tree, "--r-bound", HUGE)):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"usage error: argument {argv[-2]}:")
+        assert "5001 digits" in err and len(err) < 200
 
 
 def test_module_entry_point_matches_run(capsys):

@@ -32,7 +32,6 @@ from critforge import (
     broom_with_group,
     build_tree,
     critical_group,
-    has_adjacent_branch_vertices,
     iota,
     laplacian_structure,
     merge_structures,
@@ -235,9 +234,9 @@ def test_realization_builds_one_decomposition(monkeypatch):
     calls = []
     real = treedecomp.starlike_decomposition
 
-    def counting(t, prefer="lowest"):
+    def counting(t):
         calls.append(t)
-        return real(t, prefer)
+        return real(t)
 
     for mod in (treedecomp, construct):
         monkeypatch.setattr(mod, "starlike_decomposition", counting)
@@ -304,8 +303,8 @@ def realize_recording(monkeypatch, t, target, beta):
     real_dec = construct.starlike_decomposition
     real_piece = construct._realize_piece
 
-    def dec_recording(t, prefer="lowest"):
-        decs.append(real_dec(t, prefer))
+    def dec_recording(t):
+        decs.append(real_dec(t))
         return decs[-1]
 
     def piece_recording(piece, tens, merge_leaf, target, taken):
@@ -479,7 +478,8 @@ PAIRS_SHARING_A_FRESH_NAME = build_tree([
 
 
 def test_separation_counts_match_repeated_subdivision_on_small_shapes():
-    shapes = [t for t in all_trees(10) if has_adjacent_branch_vertices(t)]
+    shapes = [t for t in all_trees(10)
+              if any(t.degree(u) >= 3 and t.degree(v) >= 3 for u, v, _ in t.edges())]
     assert len(shapes) >= 50
     shapes.append(PAIRS_SHARING_A_FRESH_NAME)
     for t in shapes:

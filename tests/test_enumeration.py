@@ -1,5 +1,7 @@
 """Exhaustive structure search on small trees against a brute oracle."""
 
+import tracemalloc
+
 import pytest
 
 from bruteforce import arithmetical_r_vectors
@@ -81,6 +83,19 @@ def test_single_vertex_and_single_edge():
     (only,) = enumerate_structures(lone, EnumerationConfig(r_bound=5, vertex_cap=12))
     assert only.r == {"a": 1}
     assert count_structures(path_tree(2), EnumerationConfig(r_bound=1, vertex_cap=12)) == 1
+
+
+def test_search_memory_does_not_grow_with_the_bound():
+    # nothing as long as the bound may be built: one edge at this bound
+    # visits 3 * 10**5 root values and keeps one structure
+    tracemalloc.start()
+    try:
+        found = enumerate_structures(path_tree(2), EnumerationConfig(r_bound=3 * 10**5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [s.r_vector() for s in found] == [(1, 1)]
+    assert peak < 5 * 10**6
 
 
 def test_size_and_config_validation():

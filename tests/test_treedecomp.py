@@ -1,5 +1,6 @@
 """Splitting trees into starlike pieces and the invariants that follow."""
 
+import hashlib
 import random
 
 import pytest
@@ -22,12 +23,10 @@ from critforge import (
     build_tree,
     critical_group,
     cyclic_classification,
-    has_adjacent_branch_vertices,
     invariant_factor_bound,
     iota,
     merge_structures,
     starlike_decomposition,
-    starlike_split,
     structure_from_r,
     subdivide,
     tentacles,
@@ -40,51 +39,64 @@ def brute_nu2(t):
     return max_two_matching([(u, v) for u, v, _ in t.edges()])
 
 
+def rest_vertices(dec, i):
+    """The vertices left after splitting i: the later pieces' vertices
+    without their merge leaves."""
+    return set().union(*(p.vertices for p in dec.pieces[i + 1:])) - {
+        sp.merge_leaf for sp in dec.splittings[i + 1:]
+    }
+
+
 def test_split_reproduces_the_worked_example():
     t = running_example_tree()
-    sp = starlike_split(t)
+    dec = starlike_decomposition(t)
+    sp = dec.splittings[0]
     assert sp.center == "w02"
     assert sp.merge_leaf == "w02*"
     assert sp.target == "w01"
     assert not sp.regular
     assert sorted(sp.piece.leaves) == ["w02*", "w04", "w05", "w15"]
     assert sp.piece.vertex_count == 6
-    assert sp.remainder.vertex_count == 9
-    assert sorted(sp.remainder.vertices) == [
+    assert sorted(rest_vertices(dec, 0)) == [
         "w01", "w06", "w07", "w08", "w09", "w10", "w11", "w12", "w13",
     ]
 
 
 def test_split_from_the_other_end():
-    sp = starlike_split(running_example_tree(), prefer="highest")
-    assert sp.center == "w08"
-    assert sp.target == "w07"
-    assert sp.regular
-    assert sorted(sp.piece.leaves) == ["w08*", "w09", "w10"]
+    # the reference splits highest first; iota does not depend on the order
+    t = running_example_tree()
+    edges = [(u, v) for u, v, _ in t.edges()]
+    splits, _ = reference_decomposition(edges, "highest")
+    center, piece_edges, leaf, target, regular, _ = splits[0]
+    assert (center, leaf, target, regular) == ("w08", "w08*", "w07", True)
+    assert piece_edges == {("w08", "w08*"), ("w08", "w09"), ("w08", "w10")}
+    irregular = sum(not split[4] for split in splits)
+    assert irregular == iota(t) == starlike_decomposition(t).irregular_count == 1
 
 
-def test_split_returns_none_when_nothing_to_do():
-    assert starlike_split(path_tree(6)) is None
-    assert starlike_split(star_tree(5)) is None
-    with pytest.raises(ValueError):
-        starlike_split(running_example_tree(), prefer="middle")
+def test_nothing_to_split_gives_no_splittings():
+    for t in (path_tree(6), star_tree(5)):
+        dec = starlike_decomposition(t)
+        assert dec.splittings == ()
+        assert dec.pieces == (t,)
+        assert dec.irregular_count == 0
 
 
 def assert_split_matches_the_definition(t):
-    """starlike_split against the independent peripheral_split oracle."""
+    """The first splitting against the independent peripheral_split oracle."""
     edges = [(u, v) for u, v, _ in t.edges()]
-    for prefer in ("lowest", "highest"):
-        sp = starlike_split(t, prefer=prefer)
-        want = peripheral_split(edges, prefer)
-        if want is None:
-            assert sp is None
-            continue
-        center, piece, target = want
-        assert sp.center == center
-        assert sp.target == target
-        assert set(sp.piece.vertices) - {sp.merge_leaf} == piece
-        assert set(sp.remainder.vertices) == set(t.vertices) - piece
-        assert sp.regular == (t.degree(target) == 2)
+    dec = starlike_decomposition(t)
+    want = peripheral_split(edges, "lowest")
+    if want is None:
+        assert dec.splittings == ()
+        return
+    center, piece, target = want
+    sp = dec.splittings[0]
+    assert sp.center == center
+    assert sp.target == target
+    assert set(sp.piece.vertices) - {sp.merge_leaf} == piece
+    assert rest_vertices(dec, 0) == set(t.vertices) - piece
+    assert sp.regular == (t.degree(target) == 2)
 
 
 def test_split_matches_the_definition_on_every_small_shape():
@@ -113,28 +125,40 @@ def test_decomposition_of_the_worked_example():
     assert rebuilt == t
 
 
-def edge_set(t):
-    return {(u, v) for u, v, _ in t.edges()}
+def edge_set(t, name=None):
+    """t's edges as (u, v) pairs with u < v, vertices renamed by ``name``."""
+    name = name or {}
+    out = set()
+    for u, v, _ in t.edges():
+        u, v = name.get(u, u), name.get(v, v)
+        out.add((u, v) if u < v else (v, u))
+    return out
 
 
 def assert_decomposition_matches_the_reference(t):
-    """starlike_decomposition against repeated peripheral_split, for both
-    orders, with every remainder read."""
+    """starlike_decomposition against repeated peripheral_split, lowest
+    first, with the rest after every split rebuilt from the later pieces.
+    Splitting highest first must give the same irregular count."""
     edges = [(u, v) for u, v, _ in t.edges()]
-    for prefer in ("lowest", "highest"):
-        dec = starlike_decomposition(t, prefer=prefer)
-        splits, last = reference_decomposition(edges, prefer)
-        assert len(dec.splittings) == len(splits) == len(dec.pieces) - 1
-        for sp, piece, want in zip(dec.splittings, dec.pieces, splits):
-            center, piece_edges, leaf, target, regular, rest = want
-            assert sp.piece is piece
-            assert (sp.center, sp.merge_leaf, sp.target, sp.regular) == (
-                center, leaf, target, regular,
-            )
-            assert edge_set(piece) == piece_edges
-            assert edge_set(sp.remainder) == rest
-        assert edge_set(dec.last_piece) == last
-        assert dec.irregular_count == sum(not want[4] for want in splits)
+    dec = starlike_decomposition(t)
+    splits, last = reference_decomposition(edges, "lowest")
+    assert len(dec.splittings) == len(splits) == len(dec.pieces) - 1
+    for sp, piece, want in zip(dec.splittings, dec.pieces, splits):
+        center, piece_edges, leaf, target, regular, _ = want
+        assert sp.piece is piece
+        assert (sp.center, sp.merge_leaf, sp.target, sp.regular) == (
+            center, leaf, target, regular,
+        )
+        assert edge_set(piece) == piece_edges
+    assert edge_set(dec.last_piece) == last
+    rest = edge_set(dec.last_piece)
+    for sp, want in zip(reversed(dec.splittings), reversed(splits)):
+        assert rest == want[5]
+        rest |= edge_set(sp.piece, {sp.merge_leaf: sp.target})
+    assert rest == edge_set(t)
+    assert dec.irregular_count == sum(not want[4] for want in splits)
+    high, _ = reference_decomposition(edges, "highest")
+    assert sum(not want[4] for want in high) == iota(t) == dec.irregular_count
 
 
 def test_decomposition_matches_the_reference_on_every_small_shape():
@@ -152,20 +176,58 @@ def test_decomposition_matches_the_reference_on_random_name_trees():
         )
 
 
+def decomposition_golden_cases():
+    """Every shape with up to 10 vertices, then the random-name trees of
+    ``test_decomposition_matches_the_reference_on_random_name_trees``."""
+    yield from all_trees(10)
+    rng = random.Random(15)
+    for k in range(100):
+        yield random_name_tree(rng, 10 + 290 * k // 99)
+
+
+def decomposition_record(t):
+    dec = starlike_decomposition(t)
+    return (
+        [(sp.center, sp.merge_leaf, sp.target, sp.regular, sp.tentacles)
+         for sp in dec.splittings],
+        [piece.edges() for piece in dec.pieces],
+        [dec.tentacles(i) for i in range(len(dec.pieces))],
+        dec.irregular_count,
+    )
+
+
+def decomposition_digest(trees):
+    digest = hashlib.sha256()
+    for t in trees:
+        digest.update(repr(decomposition_record(t)).encode())
+    return digest.hexdigest()
+
+
+# SHA-256 of every golden tree's splittings, piece edges, piece tentacles
+# and irregular count, as computed when the pass still took a ``prefer``
+# order and built each split's remainder on demand; the same under -O
+GOLDEN_DECOMPOSITIONS = "6750639493ecf6da6a7891620778470da57fb881fff643d12a6889884e55ee82"
+
+
+def test_decompositions_match_the_golden_digest():
+    trees = list(decomposition_golden_cases())
+    assert len(trees) == 300
+    assert decomposition_digest(trees) == GOLDEN_DECOMPOSITIONS
+
+
 def assert_pieces_carry_their_tentacles(t):
     """dec.tentacles(i) against a fresh walk of piece i, merge leaf left out."""
-    for prefer in ("lowest", "highest"):
-        dec = starlike_decomposition(t, prefer=prefer)
-        k = len(dec.pieces)
-        for i, piece in enumerate(dec.pieces):
-            leaf = dec.merge_leaf(i) if i < len(dec.splittings) else None
-            want = tuple(ten for ten in tentacles(piece) if ten.leaf != leaf)
-            assert dec.tentacles(i) == dec.tentacles(i - k) == want
-        for sp in dec.splittings:
-            assert sp.piece.branch_vertices == (sp.center,)
-            assert {ten.attachment for ten in sp.tentacles} == {sp.center}
-        with pytest.raises(IndexError):
-            dec.tentacles(k)
+    dec = starlike_decomposition(t)
+    k = len(dec.pieces)
+    for i, piece in enumerate(dec.pieces):
+        leaf = dec.merge_leaf(i) if i < len(dec.splittings) else None
+        want = tuple(ten for ten in tentacles(piece) if ten.leaf != leaf)
+        assert dec.tentacles(i) == dec.tentacles(i - k) == want
+    for sp in dec.splittings:
+        assert sp.piece.branch_vertices == (sp.center,)
+        assert {ten.attachment for ten in sp.tentacles} == {sp.center}
+    with pytest.raises(IndexError):
+        dec.tentacles(k)
 
 
 def test_pieces_carry_their_tentacles_on_every_small_shape():
@@ -204,11 +266,6 @@ def test_decomposition_builds_one_tree_per_piece(monkeypatch):
     dec = starlike_decomposition(t)
     assert len(dec.pieces) > 100
     assert len(built) == len(dec.pieces)
-    sp = dec.splittings[len(dec.splittings) // 2]
-    rest = sp.remainder
-    assert sp.remainder is rest
-    assert len(built) == len(dec.pieces) + 1
-    assert built[-1] == rest.vertex_count
 
 
 def test_frozen_invariants_of_the_two_cousins():
@@ -255,13 +312,10 @@ def test_matching_number_matches_brute_force(t):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(all_trees(10)))
 def test_matching_number_adds_across_splits(t):
-    sp = starlike_split(t)
-    if sp is None:
+    dec = starlike_decomposition(t)
+    if not dec.splittings:
         assert t.is_path or t.is_starlike
-    else:
-        assert two_matching_number(t) == two_matching_number(
-            sp.piece
-        ) + two_matching_number(sp.remainder)
+    assert two_matching_number(t) == sum(map(two_matching_number, dec.pieces))
 
 
 @settings(max_examples=60, deadline=None)
@@ -273,25 +327,27 @@ def test_iota_bound_and_leaf_accounting(t):
     if not t.is_path:
         assert io <= leaves / 2 - 1
         assert invariant_factor_bound(t) == leaves - 2 - io
-    assert (io > 0) == has_adjacent_branch_vertices(t)
-    for prefer in ("lowest", "highest"):
-        dec = starlike_decomposition(t, prefer=prefer)
-        assert dec.irregular_count == io
-        if not t.is_path:
-            budget = sum(max(len(p.leaves) - 2, 0) for p in dec.pieces)
-            assert budget == leaves - 2 - io
+    assert (io > 0) == any(
+        t.degree(u) >= 3 and t.degree(v) >= 3 for u, v, _ in t.edges()
+    )
+    dec = starlike_decomposition(t)
+    assert dec.irregular_count == io
+    if not t.is_path:
+        budget = sum(max(len(p.leaves) - 2, 0) for p in dec.pieces)
+        assert budget == leaves - 2 - io
+    high, _ = reference_decomposition([(u, v) for u, v, _ in t.edges()], "highest")
+    assert sum(not want[4] for want in high) == io
 
 
 def assert_iota_routes_agree(t):
     """The DP iota against the decomposition, the bound both ways, and
     the pieces' leaf budget against the whole tree's."""
     io = iota(t)
-    for prefer in ("lowest", "highest"):
-        dec = starlike_decomposition(t, prefer=prefer)
-        assert dec.irregular_count == io
-        if not t.is_path:
-            budget = sum(max(len(p.leaves) - 2, 0) for p in dec.pieces)
-            assert budget == len(t.leaves) - 2 - io
+    dec = starlike_decomposition(t)
+    assert dec.irregular_count == io
+    if not t.is_path:
+        budget = sum(max(len(p.leaves) - 2, 0) for p in dec.pieces)
+        assert budget == len(t.leaves) - 2 - io
     assert len(t.leaves) - 2 - io == t.edge_count - two_matching_number(t)
 
 
