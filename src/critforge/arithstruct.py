@@ -16,8 +16,6 @@ from .exactlinalg import AbelianGroup, IntegerMatrix, SmithDecomposition, smith_
 from .graphcore import Graph, Tree, UnknownVertex, fresh_name
 from .treedecomp import InternalInconsistency
 
-_last: list = [None, None, None]  # ``_factorization``'s one slot: g, d in vertex order, result
-
 
 class ArithStructError(Exception):
     """Base class for errors raised by this module."""
@@ -273,12 +271,15 @@ class _Elimination:
 
 
 def _factorization(g: Graph, d: Mapping[str, int]) -> _Elimination:
-    """The ``_Elimination`` of (g, d); only the last is kept, keyed by g itself
-    (held, so its id is not reused) and d in vertex order, checked by the caller."""
+    """The ``_Elimination`` of (g, d), d checked by the caller.  Each graph
+    keeps its last one as a (d in vertex order, elimination) pair, read and
+    written whole, so a thread never pairs one d with another's elimination."""
     key = tuple(map(d.__getitem__, g.vertices))
-    last_g, last_key, e = _last  # one read, so another thread cannot mix two entries
-    if last_g is not g or last_key != key:
-        _last[:] = g, key, (e := _Elimination(g, d))
+    kept = g._elimination
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    e = _Elimination(g, d)
+    g._elimination = key, e
     return e
 
 

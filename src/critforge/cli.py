@@ -388,6 +388,10 @@ def cmd_merge(ns: argparse.Namespace) -> int:
 
 
 def cmd_construct(ns: argparse.Namespace) -> int:
+    if ns.prongs is not None and ns.prongs < 1:
+        raise UsageError(f"--prongs must be at least 1, got {ns.prongs}")
+    if ns.beta is not None and ns.beta < 0:
+        raise UsageError(f"--beta must be at least 0, got {ns.beta}")
     target = _parse_group(ns.group)
     if ns.tree is not None:
         if ns.beta is None:

@@ -4,8 +4,12 @@ Vertices are kept in lexicographic order throughout, so every derived
 object (matrices, vectors, enumerations) has one canonical layout.
 A graph never changes after it is built, so it keeps its degree per
 vertex, edge count, leaves and branch vertices from the pass that
-checks its adjacency; reading them costs a lookup.  Surgery (``wedge``,
-``subdivide``) builds a new graph.
+checks its adjacency; reading them costs a lookup.  It also keeps two
+things derived from it, each made on first use by the module that
+derives it: a tree's starlike decomposition (``treedecomp``) and the
+last elimination of diag(d) - A, with the d it was made for
+(``arithstruct``).  Each is written whole, in one assignment.
+Surgery (``wedge``, ``subdivide``) builds a new graph.
 """
 
 from __future__ import annotations
@@ -54,7 +58,8 @@ def _is_int(x: object) -> bool:
 class Graph:
     """A finite connected multigraph without loops."""
 
-    __slots__ = ("_order", "_adj", "_index", "_deg", "_edge_count", "_leaves", "_branch")
+    __slots__ = ("_order", "_adj", "_index", "_deg", "_edge_count", "_leaves", "_branch",
+                 "_decomposition", "_elimination")
 
     def __init__(self, adjacency: Mapping[str, Mapping[str, int]]):
         if not adjacency:
@@ -85,6 +90,8 @@ class Graph:
         self._leaves = tuple([v for v in order if deg[v] == 1])
         self._branch = tuple([v for v in order if deg[v] >= 3])
         self._index = {v: i for i, v in enumerate(order)}
+        self._decomposition = None  # StarlikeDecomposition, kept by treedecomp
+        self._elimination = None  # (d in vertex order, its _Elimination), kept by arithstruct
         self._check_connected()
 
     def _check_connected(self) -> None:
@@ -197,7 +204,8 @@ class Tree(Graph):
     def from_graph(cls, g: Graph) -> "Tree":
         """View a checked graph as a tree; only the edge count is checked.
 
-        The tree shares ``g``'s adjacency and tables, which nothing mutates."""
+        The tree shares ``g``'s adjacency and tables, which nothing mutates,
+        and starts out keeping what ``g`` keeps."""
         if isinstance(g, cls):
             return g
         t = cls.__new__(cls)

@@ -97,6 +97,9 @@ def starlike_decomposition(t: Tree) -> StarlikeDecomposition:
     """Split starlike pieces off, lowest peripheral branch vertex first,
     until what is left is starlike or a path.
 
+    Made once per tree and kept on it, so every later call on ``t``
+    returns the same object, which like its pieces is immutable.
+
     One leaf-first pass over ``t``, O(n log n) for n vertices, building
     one ``Tree`` per piece.  A branch vertex is peripheral when its
     degree exceeds its tentacle count by one.  A cut only lowers the
@@ -106,6 +109,8 @@ def starlike_decomposition(t: Tree) -> StarlikeDecomposition:
     first, so each vertex is walked O(1) times, and every piece,
     the last one too, takes its tentacles from them.
     """
+    if t._decomposition is not None:
+        return t._decomposition
     deg = {v: t.degree(v) for v in t.vertices}
     branches = len(t.branch_vertices)
     arms: dict[str, list[list[str]]] = {}
@@ -154,13 +159,14 @@ def starlike_decomposition(t: Tree) -> StarlikeDecomposition:
         # the keys of ``arms`` are live branch vertices: one is left
         ((c, own),) = arms.items()
         last = _sorted_tentacles(own, c)
-    return StarlikeDecomposition(
+    t._decomposition = StarlikeDecomposition(
         pieces=tuple(sp.piece for sp in splittings)
         + (Tree(_induced(t, live)) if splittings else t,),
         splittings=tuple(splittings),
         irregular_count=sum(not sp.regular for sp in splittings),
         _tentacles=tuple(sp.tentacles for sp in splittings) + (last,),
     )
+    return t._decomposition
 
 
 def iota(t: Tree) -> int:

@@ -312,8 +312,8 @@ def test_critical_group_checks_corank_and_tree_order(monkeypatch):
     _, r, _ = fixture_graph("fig3_broom")
     s = structure_from_r(t, r)
     assert critical_group(t, s).order == tree_order_formula(t, s.r) == 54
-    # Feed the checks a wrong core: they raise, not assert.  The memo
-    # holds the right factorization of (t, s.d), so it is emptied first.
+    # Feed the checks a wrong core: they raise, not assert.  t keeps the
+    # right factorization of s.d, so each check runs on a fresh copy of t.
     def core(rows):
         class WrongCore(arithstruct._Elimination):
             def __init__(self, g, d):
@@ -325,6 +325,5 @@ def test_critical_group_checks_corank_and_tree_order(monkeypatch):
             ([[3, 0], [0, 0]], InternalInconsistency, "tree_order_formula 54"),
             ([[54, 0], [0, 1]], RankDefect, "expected corank 1")):
         monkeypatch.setattr(arithstruct, "_Elimination", core(rows))
-        arithstruct._last[:] = None, None, None
         with pytest.raises(error, match=message):
-            critical_group(t, s)
+            critical_group(build_tree(t.edges()), s)

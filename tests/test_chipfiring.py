@@ -36,8 +36,10 @@ from critforge import (
     NonzeroDegree,
     SizeViolation,
     Tentacle,
+    Tree,
     UnknownVertex,
     build_graph,
+    build_tree,
     clearable,
     critical_group,
     divisor_degree,
@@ -688,18 +690,17 @@ def test_divisor_queries_raise_on_a_broken_elimination(monkeypatch):
         order_in_group(t, off, {"p00": 2, "p01": -1})
 
 
-# One factorization of diag(d) - A is kept for the last (g, d) asked
-# about.  Each answer read through it must equal the answer computed
-# with it emptied.
+# Each graph keeps one factorization of diag(d) - A, for the last d
+# asked about on it.  Each answer read through it must equal the answer
+# computed cold, on a fresh, equal copy of the graph.
 
-def answer(call, *args):
-    """call(*args) through the kept factorization, checked against the
-    same call with none kept; the kept one is then put back."""
-    got = call(*args)
-    kept = arithstruct._last[:]
-    arithstruct._last[:] = None, None, None
-    assert call(*args) == got
-    arithstruct._last[:] = kept
+def answer(call, g, *args):
+    """call(g, *args) through g's kept factorization, checked against the
+    same call on a fresh copy of g, which keeps none."""
+    got = call(g, *args)
+    fresh = (build_tree if isinstance(g, Tree) else build_graph)(g.edges())
+    assert fresh == g and fresh._elimination is None
+    assert call(fresh, *args) == got
     return got
 
 
@@ -781,7 +782,7 @@ def test_one_structure_is_factored_once(monkeypatch):
     assert order_in_group(t, s, delta) > 1
     assert equivalent(t, s.d, delta, {}) is None
     assert len(built) == 1
-    assert smiths == [arithstruct._last[2].core]
+    assert smiths == [t._elimination[1].core]
     # one changed d value is another factorization, and only the last is kept
     d = dict(s.d)
     d[t.vertices[0]] += 1
@@ -791,12 +792,33 @@ def test_one_structure_is_factored_once(monkeypatch):
     assert len(built) == len(smiths) == 3
 
 
+def test_queries_alternating_between_graphs_factor_each_once(monkeypatch):
+    built = []
+
+    class Counting(arithstruct._Elimination):
+        def __init__(self, g, d):
+            built.append(g)
+            super().__init__(g, d)
+
+    monkeypatch.setattr(arithstruct, "_Elimination", Counting)
+    (a, sa), (b, sb) = broom(), c4()
+    rng = random.Random(32)
+    da, db = degree_zero_divisor(rng, a, sa), degree_zero_divisor(rng, b, sb)
+    moved = fired_at_random(rng, b, sb.d, db)
+    for _ in range(3):
+        assert order_in_group(a, sa, da) == 18
+        assert equivalent(b, sb.d, db, moved) is not None
+        assert critical_group(a, sa) == AbelianGroup((3, 18))
+    # a, b, a and so on: each graph keeps its own, so none is made again
+    assert len(built) == 2 and built[0] is a and built[1] is b
+
+
 def test_threads_sharing_the_memo_get_their_own_answers():
     t, s = broom()
     lap = laplacian_structure(t)
     rng = random.Random(31)
     cases = [(struct, degree_zero_divisor(rng, t, struct)) for struct in (s, lap)]
-    want = [order_in_group(t, struct, delta) for struct, delta in cases]
+    want = [order_in_group(build_tree(t.edges()), struct, delta) for struct, delta in cases]
     assert want[0] > 1 == want[1]
     wrong = []
 

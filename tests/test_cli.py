@@ -516,6 +516,20 @@ def test_module_entry_point_matches_run(capsys):
     assert json.loads(proc.stdout) == want
 
 
+@pytest.mark.parametrize("prongs", ["0", "-2"])
+def test_a_prong_count_below_one_is_a_usage_error(capsys, prongs):
+    code, out, err = invoke(capsys, "construct", "--group", "6", "--prongs", prongs)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: --prongs must be at least 1, got {prongs}\n"
+
+
+def test_a_negative_beta_is_a_usage_error(capsys):
+    code, out, err = invoke(capsys, "construct", "--group", "6",
+                            "--tree", fixture_path("t1"), "--beta", "-1")
+    assert (code, out) == (2, "")
+    assert err == "usage error: --beta must be at least 0, got -1\n"
+
+
 def test_domain_errors_exit_one(capsys, tmp_path):
     # A cycle is not a tree, so decompose refuses it.
     code, _, err = invoke(

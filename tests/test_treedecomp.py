@@ -266,6 +266,17 @@ def test_decomposition_builds_one_tree_per_piece(monkeypatch):
     dec = starlike_decomposition(t)
     assert len(dec.pieces) > 100
     assert len(built) == len(dec.pieces)
+    # t keeps it: a second call builds nothing and returns the same object
+    assert starlike_decomposition(t) is dec
+    assert len(built) == len(dec.pieces)
+    # an equal but distinct tree makes an equal decomposition of its own
+    twin = build_tree(t.edges())
+    assert twin == t and twin is not t
+    other = starlike_decomposition(twin)
+    assert other == dec and other is not dec
+    assert len(built) == 2 * len(dec.pieces)
+    assert all(other.tentacles(i) == dec.tentacles(i) for i in range(len(dec.pieces)))
+    assert starlike_decomposition(t) is dec and starlike_decomposition(twin) is other
 
 
 def test_frozen_invariants_of_the_two_cousins():
