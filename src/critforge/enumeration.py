@@ -1,17 +1,21 @@
 """Exhaustive search for arithmetical structures on small trees.
 
-The search assigns r values in a depth-first vertex order rooted at a
-highest-degree vertex.  Leaf values must divide their neighbor's value,
-and once all but one member of some vertex's neighborhood is fixed the
-last member is pinned to a residue class, which prunes hard enough to
-finish on every tree this module accepts.
+A structure's one rule is the balance at each vertex u: r(u) divides the
+sum of r over u's neighbors.  The search assigns r values in a depth-first
+order rooted at a highest-degree vertex, leaf children last.  On a tree a
+vertex's only earlier neighbor is its parent, so each balance is settled
+once, at the step where it becomes decidable: a non-root leaf's value must
+divide its parent's, and any other vertex's last child is pinned to one
+residue modulo that vertex's value.  The candidates obey both rules, so
+every full assignment is balanced.  Input that is not a tree raises
+``NotATree``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .arithstruct import ArithmeticalStructure, structure_from_r
 from .graphcore import Tree, _is_int
@@ -49,19 +53,17 @@ def _divisors(x: int) -> list[int]:
     return low + [x // d for d in reversed(low) if d * d != x]
 
 
-def _congruent(xs: Iterable[int], m: int, a: int) -> Iterator[int]:
-    return (x for x in xs if x % m == a)
-
-
 def enumerate_structures(t: Tree, config: EnumerationConfig | None = None,
                          ) -> list[ArithmeticalStructure]:
-    """All structures on t with every r value at most the bound.
+    """All structures on the tree t with every r value at most the bound.
 
     Results are sorted by their r vectors in canonical vertex order.
     A large enough bound makes the list complete for the tree: every
     structure at all appears once the bound passes the tree's largest
-    reachable r value.
+    reachable r value.  Each balance is settled by the candidates of one
+    step, and ``structure_from_r`` still checks every result.
     """
+    t = Tree.from_graph(t)
     cfg = config or EnumerationConfig()
     if t.vertex_count > cfg.vertex_cap:
         raise TreeTooLarge(
@@ -73,84 +75,61 @@ def enumerate_structures(t: Tree, config: EnumerationConfig | None = None,
     if n == 1:
         return [structure_from_r(t, {t.vertices[0]: 1})]
 
-    nbrs = {v: t.neighbors(v) for v in t.vertices}
     root = min(t.vertices, key=lambda v: (-t.degree(v), v))
     # depth-first order, leaf children last so residue pinning kicks in early
     order: list[str] = []
-    parent: dict[str, str | None] = {root: None}
+    parent: dict[str, str] = {}
+    last_child: set[str] = set()
     stack = [root]
-    seen = {root}
     while stack:
         v = stack.pop()
         order.append(v)
-        kids = [w for w in nbrs[v] if w not in seen]
-        kids.sort(key=lambda w: (t.degree(w) == 1, w), reverse=True)
-        for w in kids:
-            seen.add(w)
-            parent[w] = v
+        kids = sorted((w for w in t.neighbors(v) if w != parent.get(v)),
+                      key=lambda w: (t.degree(w) == 1, w), reverse=True)
+        parent.update(dict.fromkeys(kids, v))
+        # the stack pops kids[0] last, once the other subtrees are done
+        last_child.update(kids[:1])
         stack.extend(kids)
     pos = {v: i for i, v in enumerate(order)}
 
-    # the step at which each vertex's whole neighborhood becomes known
-    complete_at: dict[str, int] = {
-        u: max(pos[w] for w in (u, *nbrs[u])) for u in t.vertices
-    }
-    checks: list[list[str]] = [[] for _ in range(n)]
-    for u, i in complete_at.items():
-        checks[i].append(u)
-    # each pinner u of step i, with u's other neighbors, all fixed by then
-    pinners: list[list[tuple[str, tuple[str, ...]]]] = [[] for _ in range(n)]
-    for i, v in enumerate(order):
-        for u in nbrs[v]:
-            if complete_at[u] == i:
-                pinners[i].append((u, tuple(w for w in nbrs[u] if w != v)))
-    # a leaf other than the root must divide its parent's value
-    leaf_parent = [parent[v] if t.degree(v) == 1 else None for v in order]
+    # per step: the parent's position, whether the value must divide the
+    # parent's (a non-root leaf), and, at a last child, the positions of
+    # the parent's other neighbors, whose sum pins the value
+    up = [pos[parent[v]] if v in parent else -1 for v in order]
+    leaf = [v in parent and t.degree(v) == 1 for v in order]
+    rest: list[tuple[int, ...] | None] = [
+        tuple(pos[w] for w in t.neighbors(parent[v]) if w != v) if v in last_child else None
+        for v in order
+    ]
+    canonical = [pos[v] for v in t.vertices]
 
-    r: dict[str, int] = {}
+    r = [0] * n
     found: list[tuple[int, ...]] = []
 
     def candidates(i: int) -> Iterable[int]:
         """Step i's values in increasing order, made as they are read, so
         memory follows the search and not the bound."""
-        p = leaf_parent[i]
-        residue = [(r[u], (-sum(r[w] for w in rest)) % r[u]) for u, rest in pinners[i]]
-        if not residue:
-            return range(1, bound + 1) if p is None else _divisors(r[p])
-        (m0, a0), *others = residue
-        top = bound if p is None else r[p]
-        hits: Iterable[int] = range(a0 or m0, top + 1, m0)
-        if p is not None:
-            hits = (x for x in hits if top % x == 0)
-        for m, a in others:
-            hits = _congruent(hits, m, a)
-        return hits
-
-    def ok_after(i: int) -> bool:
-        for u in checks[i]:
-            total = sum(r[w] for w in nbrs[u])
-            if total % r[u]:
-                return False
-        return True
+        if rest[i] is None:
+            return _divisors(r[up[i]]) if leaf[i] else range(1, bound + 1)
+        m = r[up[i]]
+        first = -sum(r[j] for j in rest[i]) % m or m
+        if leaf[i]:
+            # a divisor of m pinned modulo m
+            return (first,) if m % first == 0 else ()
+        return range(first, bound + 1, m)
 
     def walk(i: int) -> None:
         if i == n:
-            if gcd(*(r[v] for v in order)) == 1:
-                found.append(tuple(r[v] for v in t.vertices))
+            if gcd(*r) == 1:
+                found.append(tuple(r[j] for j in canonical))
             return
-        v = order[i]
         for val in candidates(i):
-            r[v] = val
-            if ok_after(i):
-                walk(i + 1)
-        r.pop(v, None)
+            r[i] = val
+            walk(i + 1)
 
     walk(0)
     found.sort()
-    out = []
-    for vec in found:
-        out.append(structure_from_r(t, dict(zip(t.vertices, vec))))
-    return out
+    return [structure_from_r(t, dict(zip(t.vertices, vec))) for vec in found]
 
 
 def count_structures(t: Tree, config: EnumerationConfig | None = None) -> int:

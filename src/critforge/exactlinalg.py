@@ -50,24 +50,6 @@ class IntegerMatrix:
         self._nrows = len(data)
         self._ncols = width
 
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def diagonal(cls, entries: Sequence[int], nrows: int | None = None,
-                 ncols: int | None = None) -> "IntegerMatrix":
-        """Build a (possibly rectangular) diagonal matrix from ``entries``."""
-        k = len(entries)
-        nr = k if nrows is None else nrows
-        nc = k if ncols is None else ncols
-        if k > min(nr, nc):
-            raise DimensionMismatch("more diagonal entries than the shape allows")
-        rows = [[0] * nc for _ in range(nr)]
-        for i, e in enumerate(entries):
-            rows[i][i] = e
-        return cls(rows)
-
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         return self._rows
@@ -76,42 +58,10 @@ class IntegerMatrix:
     def shape(self) -> tuple[int, int]:
         return (self._nrows, self._ncols)
 
-    @property
-    def nrows(self) -> int:
-        return self._nrows
-
-    @property
-    def ncols(self) -> int:
-        return self._ncols
-
     def entry(self, i: int, j: int) -> int:
         if not (0 <= i < self._nrows and 0 <= j < self._ncols):
             raise IndexOutOfRange(f"entry ({i}, {j}) outside shape {self.shape}")
         return self._rows[i][j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        if not 0 <= i < self._nrows:
-            raise IndexOutOfRange(f"row {i} outside shape {self.shape}")
-        return self._rows[i]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        if not 0 <= j < self._ncols:
-            raise IndexOutOfRange(f"column {j} outside shape {self.shape}")
-        return tuple(row[j] for row in self._rows)
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(zip(*self._rows))
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntegerMatrix":
-        for i in row_idx:
-            if not 0 <= i < self._nrows:
-                raise IndexOutOfRange(f"row index {i} outside shape {self.shape}")
-        for j in col_idx:
-            if not 0 <= j < self._ncols:
-                raise IndexOutOfRange(f"column index {j} outside shape {self.shape}")
-        return IntegerMatrix(
-            [[self._rows[i][j] for j in col_idx] for i in row_idx]
-        )
 
     def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self._ncols != other._nrows:
@@ -159,10 +109,6 @@ class SmithDecomposition:
     def diagonal(self) -> tuple[int, ...]:
         nr, nc = self.d.shape
         return tuple(self.d.entry(i, i) for i in range(min(nr, nc)))
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for x in self.diagonal if x != 0)
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:

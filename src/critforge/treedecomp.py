@@ -160,8 +160,8 @@ def starlike_decomposition(t: Tree) -> StarlikeDecomposition:
         ((c, own),) = arms.items()
         last = _sorted_tentacles(own, c)
     t._decomposition = StarlikeDecomposition(
-        pieces=tuple(sp.piece for sp in splittings)
-        + (Tree(_induced(t, live)) if splittings else t,),
+        # a fresh last piece, so t and its decomposition form no cycle
+        pieces=tuple(sp.piece for sp in splittings) + (Tree(_induced(t, live)),),
         splittings=tuple(splittings),
         irregular_count=sum(not sp.regular for sp in splittings),
         _tentacles=tuple(sp.tentacles for sp in splittings) + (last,),

@@ -78,7 +78,8 @@ def smith_invariant_factors(orders):
     vals = [x for x in orders if x > 1]
     if not vals:
         return ()
-    diag = smith_normal_form(IntegerMatrix.diagonal(vals)).diagonal
+    rows = [[x if i == j else 0 for j in range(len(vals))] for i, x in enumerate(vals)]
+    diag = smith_normal_form(IntegerMatrix(rows)).diagonal
     return tuple(x for x in diag if x > 1)
 
 

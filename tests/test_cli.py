@@ -531,11 +531,12 @@ def test_a_negative_beta_is_a_usage_error(capsys):
 
 
 def test_domain_errors_exit_one(capsys, tmp_path):
-    # A cycle is not a tree, so decompose refuses it.
-    code, _, err = invoke(
-        capsys, "decompose", "--input", fixture_path("c4_example"))
-    assert code == 1
-    assert err.startswith("error:")
+    # A cycle is not a tree, so decompose and enumerate refuse it.
+    for command in ("decompose", "enumerate"):
+        code, _, err = invoke(
+            capsys, command, "--input", fixture_path("c4_example"))
+        assert code == 1
+        assert err.startswith("error:")
 
     # Unsatisfiable construction targets fail the same way.
     code, _, err = invoke(

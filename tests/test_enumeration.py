@@ -1,14 +1,26 @@
 """Exhaustive structure search on small trees against a brute oracle."""
 
+import hashlib
+import random
 import tracemalloc
 
 import pytest
 
 from bruteforce import arithmetical_r_vectors
-from corpus import adjacency_map, path_tree, star_tree
+from corpus import (
+    adjacency_map,
+    all_trees,
+    cycle_graph,
+    path_tree,
+    random_name_tree,
+    star_tree,
+    sweep_config,
+)
 from critforge import (
     EnumerationConfig,
+    NotATree,
     TreeTooLarge,
+    build_graph,
     count_structures,
     cyclic_classification,
     CyclicClass,
@@ -29,10 +41,37 @@ def test_search_agrees_with_brute_force_box_scan():
         (path_tree(4), 8),
         (star_tree(3), 6),
     ]
+    # names that do not follow the shape reach other depth-first orders
+    rng = random.Random(5)
+    cases += [(random_name_tree(rng, n), 5) for n in (5, 6, 6, 7, 7, 7)]
     for t, bound in cases:
         got = enumerate_structures(t, EnumerationConfig(r_bound=bound, vertex_cap=12))
         want = sorted(brute_vectors(t, bound))
         assert [s.r_vector() for s in got] == want
+
+
+def test_only_trees_are_enumerated():
+    # a cycle has no depth-first order in which each balance settles once,
+    # and neighbour sums on a doubled edge would need its multiplicity
+    with pytest.raises(NotATree):
+        enumerate_structures(cycle_graph(4))
+    with pytest.raises(NotATree):
+        enumerate_structures(build_graph([("a", "b", 2)]))
+
+
+def enumeration_digest():
+    """SHA-256 of the r vectors listed on every shape with up to 7 vertices
+    at the corpus bounds, 14,863 structures."""
+    vectors = [[s.r_vector() for s in enumerate_structures(t, sweep_config(t))]
+               for t in all_trees(7)]
+    return hashlib.sha256(repr(vectors).encode()).hexdigest()
+
+
+GOLDEN_ENUMERATION = "f4531cacf7db8906f507bcf6adda008a0a36bbecc55de113986ed06536943e7d"
+
+
+def test_enumeration_matches_the_golden_digest():
+    assert enumeration_digest() == GOLDEN_ENUMERATION
 
 
 def test_small_tree_counts_are_saturated():

@@ -90,7 +90,9 @@ def test_known_diagonal_forms():
     wide = IntegerMatrix([[2, 0, 0], [0, 3, 0]])
     assert smith_normal_form(wide).diagonal == (1, 6)
 
-    stacked = IntegerMatrix.diagonal([324, 324, 18, 3])
+    stacked = IntegerMatrix(
+        [[324, 0, 0, 0], [0, 324, 0, 0], [0, 0, 18, 0], [0, 0, 0, 3]]
+    )
     assert smith_normal_form(stacked).diagonal == (3, 18, 324, 324)
 
     cycle = IntegerMatrix(
@@ -254,13 +256,6 @@ def test_matrix_validation_and_accessors():
     m = IntegerMatrix([[1, 2, 3], [4, 5, 6]])
     assert m.shape == (2, 3)
     assert m.entry(1, 2) == 6
-    assert m.transpose().rows == ((1, 4), (2, 5), (3, 6))
-    assert m.column(1) == (2, 5)
-    assert IntegerMatrix.identity(2).mul(m) == m
-
-    sub = m.submatrix([0, 1], [0, 2])
-    assert sub.rows == ((1, 3), (4, 6))
-
     assert m.apply([1, 0, -1]) == (-2, -2)
 
 

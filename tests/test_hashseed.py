@@ -17,6 +17,7 @@ import hashlib, traceback
 from critforge import reduce_support, starlike_decomposition
 from test_chipfiring import divisor_digest, divisor_golden_cases, sweep_golden_cases
 from test_construct import golden_cases, realization_record
+from test_enumeration import enumeration_digest
 from test_treedecomp import decomposition_digest, decomposition_golden_cases
 
 def reduced(g, s, delta):
@@ -32,6 +33,7 @@ print(divisor_digest(divisor_golden_cases()))
 print(digest(reduced(*case) for case in sweep_golden_cases()))
 print(digest(realization_record(*case) for case in golden_cases()))
 print(decomposition_digest(decomposition_golden_cases()))
+print(enumeration_digest())
 """
 
 
@@ -46,5 +48,5 @@ def test_digests_do_not_depend_on_the_hash_seed():
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout.split())
-    assert len(outputs[0]) == 4
+    assert len(outputs[0]) == 5
     assert outputs[0] == outputs[1]

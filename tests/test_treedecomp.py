@@ -1,5 +1,6 @@
 """Splitting trees into starlike pieces and the invariants that follow."""
 
+import gc
 import hashlib
 import random
 
@@ -80,6 +81,25 @@ def test_nothing_to_split_gives_no_splittings():
         assert dec.splittings == ()
         assert dec.pieces == (t,)
         assert dec.irregular_count == 0
+
+
+def test_a_kept_decomposition_makes_no_reference_cycle():
+    # the last piece of a tree with no splitting is a fresh equal tree, not
+    # t itself, so t and the decomposition it keeps go with their last reference
+    def decompose():
+        t = star_tree(3)
+        dec = starlike_decomposition(t)
+        assert dec.last_piece == t
+
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        decompose()
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def assert_split_matches_the_definition(t):
