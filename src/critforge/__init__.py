@@ -8,8 +8,6 @@ from .arithstruct import (
     NonIntegralOrder,
     RankDefect,
     critical_group,
-    extend_at,
-    laplacian,
     laplacian_structure,
     structure_from_r,
     tree_order_formula,
@@ -44,7 +42,6 @@ from .enumeration import (
     EnumerationConfig,
     EnumerationError,
     TreeTooLarge,
-    count_structures,
     enumerate_structures,
 )
 from .exactlinalg import (
@@ -57,7 +54,6 @@ from .exactlinalg import (
     determinantal_divisor,
     group_from_orders,
     smith_normal_form,
-    solve_integer,
 )
 from .graphcore import (
     DisconnectedGraph,

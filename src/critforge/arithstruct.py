@@ -8,12 +8,12 @@ is the special case r identically 1, d the degree map.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from math import gcd
 from typing import Mapping
 
+from ._record import _Record
 from .exactlinalg import AbelianGroup, IntegerMatrix, SmithDecomposition, smith_normal_form
-from .graphcore import Graph, Tree, UnknownVertex, fresh_name
+from .graphcore import Graph, Tree
 from .treedecomp import InternalInconsistency
 
 
@@ -37,17 +37,21 @@ class NonIntegralOrder(ArithStructError):
     pass
 
 
-@dataclass
-class ArithmeticalStructure:
-    """Container for the two labellings of one structure on one graph."""
+class ArithmeticalStructure(_Record):
+    """Container for the two labellings of one structure on one graph.
 
-    graph: Graph
-    r: dict[str, int]
-    d: dict[str, int]
+    Unlike the other records it can be assigned to, and is unhashable.
+    """
 
-    def __post_init__(self) -> None:
-        self.r = {v: _integer(x, "r", v) for v, x in self.r.items()}
-        self.d = {v: _integer(x, "d", v) for v, x in self.d.items()}
+    __slots__ = _fields = ("graph", "r", "d")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, graph: Graph, r: dict[str, int], d: dict[str, int]) -> None:
+        self.graph = graph
+        self.r = {v: _integer(x, "r", v) for v, x in r.items()}
+        self.d = {v: _integer(x, "d", v) for v, x in d.items()}
 
     def r_vector(self) -> tuple[int, ...]:
         return tuple(self.r[v] for v in self.graph.vertices)
@@ -146,22 +150,6 @@ def structure_from_r(g: Graph, r: Mapping[str, int]) -> ArithmeticalStructure:
 def laplacian_structure(g: Graph) -> ArithmeticalStructure:
     """The classical structure: r identically 1, d the degree map."""
     return structure_from_r(g, {v: 1 for v in g.vertices})
-
-
-def laplacian(g: Graph, d: Mapping[str, int]) -> IntegerMatrix:
-    """The matrix diag(d) - A in canonical vertex order."""
-    _require_values(g, d, "d")
-    rows = g.adjacency_rows()
-    n = g.vertex_count
-    return IntegerMatrix(
-        [
-            [
-                (_integer(d[v], "d", v) if i == j else 0) - rows[i][j]
-                for j in range(n)
-            ]
-            for i, v in enumerate(g.vertices)
-        ]
-    )
 
 
 class _Elimination:
@@ -334,28 +322,3 @@ def tree_order_formula(t: Tree, r: Mapping[str, int]) -> int:
     if rem:
         raise NonIntegralOrder(f"{num} not divisible by {den}")
     return q
-
-
-def extend_at(g: Graph, s: ArithmeticalStructure, v: str) -> tuple[Graph, ArithmeticalStructure]:
-    """Attach a fresh leaf at ``v`` carrying a copy of its r value.
-
-    The old structure extends: the new leaf gets d = 1 and r = r(v), and
-    d(v) grows by one.  Validity is preserved, which is re-checked.
-    """
-    if not g.has_vertex(v):
-        raise UnknownVertex(f"no vertex {v!r}")
-    leaf = fresh_name(f"{v}+", g.vertices)
-    adj = {u: dict(g.incident(u)) for u in g.vertices}
-    adj[v][leaf] = 1
-    adj[leaf] = {v: 1}
-    g2 = Tree(adj) if isinstance(g, Tree) else Graph(adj)
-    r2 = dict(s.r)
-    d2 = dict(s.d)
-    r2[leaf] = s.r[v]
-    d2[leaf] = 1
-    d2[v] = s.d[v] + 1
-    s2 = ArithmeticalStructure(graph=g2, r=r2, d=d2)
-    ok, bad = validate(g2, d2, r2)
-    if not ok:
-        raise ArithStructError(f"extension broke the structure: {bad[0]}")
-    return g2, s2

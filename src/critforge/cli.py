@@ -13,7 +13,6 @@ import argparse
 import json
 import re
 import sys
-from importlib import resources
 from math import gcd
 from typing import Any, Mapping, NoReturn
 
@@ -435,6 +434,8 @@ def cmd_enumerate(ns: argparse.Namespace) -> int:
 
 def fixture_path(name: str) -> str:
     """Filesystem path of a shipped example document."""
+    from importlib import resources  # here, as no subcommand needs it at start-up
+
     if not name.endswith(".json"):
         name += ".json"
     ref = resources.files("critforge").joinpath("fixtures").joinpath(name)

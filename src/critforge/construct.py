@@ -10,10 +10,10 @@ group on a subdivision of an arbitrary tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterator
 
+from ._record import _Record
 from .arithstruct import (
     ArithmeticalStructure,
     critical_group,
@@ -43,8 +43,7 @@ class PathWithNontrivialTarget(ConstructError):
     pass
 
 
-@dataclass(frozen=True)
-class BroomPlan:
+class BroomPlan(_Record):
     """Numeric layout of a broom realizing a group.
 
     ``prong_values`` lists the r values of the length-one tentacles,
@@ -52,10 +51,14 @@ class BroomPlan:
     to the center out to the tail leaf, strictly decreasing to 1.
     """
 
-    target: AbelianGroup
-    center_value: int
-    prong_values: tuple[int, ...]
-    tail_values: tuple[int, ...]
+    __slots__ = _fields = ("target", "center_value", "prong_values", "tail_values")
+
+    def __init__(self, target: AbelianGroup, center_value: int, prong_values: tuple[int, ...],
+                 tail_values: tuple[int, ...]) -> None:
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "center_value", center_value)
+        object.__setattr__(self, "prong_values", prong_values)
+        object.__setattr__(self, "tail_values", tail_values)
 
 
 def plan_broom(target: AbelianGroup, prongs: int) -> BroomPlan:

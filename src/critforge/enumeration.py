@@ -13,10 +13,10 @@ every full assignment is balanced.  Input that is not a tree raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Iterable
 
+from ._record import _Record
 from .arithstruct import ArithmeticalStructure, structure_from_r
 from .graphcore import Tree, _is_int
 
@@ -29,22 +29,22 @@ class TreeTooLarge(EnumerationError):
     pass
 
 
-@dataclass(frozen=True)
-class EnumerationConfig:
+class EnumerationConfig(_Record):
     """Knobs for the exhaustive search.
 
     ``r_bound`` caps every r value.  ``vertex_cap`` refuses trees too
     large to finish in reasonable time; it cannot be raised past 12.
     """
 
-    r_bound: int = 60
-    vertex_cap: int = 12
+    __slots__ = _fields = ("r_bound", "vertex_cap")
 
-    def __post_init__(self) -> None:
-        if not _is_int(self.r_bound) or self.r_bound < 1:
-            raise ValueError(f"r_bound must be a positive integer, got {self.r_bound!r}")
-        if not _is_int(self.vertex_cap) or not 1 <= self.vertex_cap <= 12:
-            raise ValueError(f"vertex_cap must lie in 1..12, got {self.vertex_cap!r}")
+    def __init__(self, r_bound: int = 60, vertex_cap: int = 12) -> None:
+        if not _is_int(r_bound) or r_bound < 1:
+            raise ValueError(f"r_bound must be a positive integer, got {r_bound!r}")
+        if not _is_int(vertex_cap) or not 1 <= vertex_cap <= 12:
+            raise ValueError(f"vertex_cap must lie in 1..12, got {vertex_cap!r}")
+        object.__setattr__(self, "r_bound", r_bound)
+        object.__setattr__(self, "vertex_cap", vertex_cap)
 
 
 def _divisors(x: int) -> list[int]:
@@ -130,7 +130,3 @@ def enumerate_structures(t: Tree, config: EnumerationConfig | None = None,
     walk(0)
     found.sort()
     return [structure_from_r(t, dict(zip(t.vertices, vec))) for vec in found]
-
-
-def count_structures(t: Tree, config: EnumerationConfig | None = None) -> int:
-    return len(enumerate_structures(t, config))

@@ -7,9 +7,10 @@ finite abelian groups are invariant-factor tuples.  No floats anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
+
+from ._record import _Record
 
 
 class ExactLinalgError(Exception):
@@ -92,18 +93,21 @@ class IntegerMatrix:
         return f"IntegerMatrix({[list(r) for r in self._rows]!r})"
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(_Record):
     """Smith normal form ``d = left * source * right``.
 
     ``left`` and ``right`` are unimodular, ``d`` is diagonal with
     nonnegative entries forming a divisibility chain, zeros last.
     """
 
-    source: IntegerMatrix
-    left: IntegerMatrix
-    d: IntegerMatrix
-    right: IntegerMatrix
+    __slots__ = _fields = ("source", "left", "d", "right")
+
+    def __init__(self, source: IntegerMatrix, left: IntegerMatrix, d: IntegerMatrix,
+                 right: IntegerMatrix) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "right", right)
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -237,13 +241,8 @@ def determinantal_divisor(m: IntegerMatrix, k: int) -> int:
     return out
 
 
-def solve_integer(m: IntegerMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """One integer solution x of m x = b, or None; ``_solve_smith`` reuses a Smith form."""
-    return _solve_smith(smith_normal_form(m), b)
-
-
 def _solve_smith(dec: SmithDecomposition, b: Sequence[int]) -> tuple[int, ...] | None:
-    """``solve_integer`` on the source's Smith decomposition ``dec``."""
+    """One integer solution x of ``dec.source`` x = b, or None."""
     nr, nc = dec.source.shape
     if len(b) != nr:
         raise DimensionMismatch(f"rhs of length {len(b)} against {dec.source.shape} matrix")
@@ -262,19 +261,17 @@ def _solve_smith(dec: SmithDecomposition, b: Sequence[int]) -> tuple[int, ...] |
     return dec.right.apply(y)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(_Record):
     """A finite abelian group in invariant-factor form.
 
     ``invariant_factors`` is a tuple of ints, each at least 2, each
     dividing the next.  The empty tuple is the trivial group.
     """
 
-    invariant_factors: tuple[int, ...] = ()
+    __slots__ = _fields = ("invariant_factors",)
 
-    def __post_init__(self) -> None:
-        fs = tuple(self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", fs)
+    def __init__(self, invariant_factors: Iterable[int] = ()) -> None:
+        fs = tuple(invariant_factors)
         for x in fs:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise ExactLinalgError(f"invariant factor {x!r} is not an integer")
@@ -283,6 +280,7 @@ class AbelianGroup:
         for a, b in zip(fs, fs[1:]):
             if b % a:
                 raise ValueError(f"{a} does not divide {b} in {fs}")
+        object.__setattr__(self, "invariant_factors", fs)
 
     @classmethod
     def trivial(cls) -> "AbelianGroup":
@@ -300,10 +298,6 @@ class AbelianGroup:
         for x in self.invariant_factors:
             out *= x
         return out
-
-    @property
-    def exponent(self) -> int:
-        return self.invariant_factors[-1] if self.invariant_factors else 1
 
     @property
     def is_trivial(self) -> bool:

@@ -14,8 +14,9 @@ Surgery (``wedge``, ``subdivide``) builds a new graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Sequence
+
+from ._record import _Record
 
 
 class GraphError(Exception):
@@ -160,11 +161,6 @@ class Graph:
         self.index(v)
         return self._adj[u].get(v, 0)
 
-    def adjacency_rows(self) -> list[list[int]]:
-        return [
-            [self._adj[v].get(w, 0) for w in self._order] for v in self._order
-        ]
-
     @property
     def leaves(self) -> tuple[str, ...]:
         return self._leaves
@@ -258,8 +254,7 @@ def build_tree(edges: Iterable[Sequence]) -> Tree:
     return Tree.from_graph(build_graph(edges))
 
 
-@dataclass(frozen=True)
-class Tentacle:
+class Tentacle(_Record):
     """A maximal branch-free dangling path.
 
     ``vertices`` runs from the vertex adjacent to the attachment out to
@@ -268,12 +263,13 @@ class Tentacle:
     tree is a path treated as a single tentacle.
     """
 
-    vertices: tuple[str, ...]
-    attachment: str | None
+    __slots__ = _fields = ("vertices", "attachment")
 
-    def __post_init__(self) -> None:
-        if not self.vertices:
+    def __init__(self, vertices: tuple[str, ...], attachment: str | None) -> None:
+        if not vertices:
             raise GraphError("tentacle needs at least one vertex")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "attachment", attachment)
 
     @property
     def length(self) -> int:

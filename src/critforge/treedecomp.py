@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass, field
 
+from ._record import _Record
 from .graphcore import Tentacle, Tree, fresh_name, tentacles
 
 
@@ -31,8 +31,7 @@ class CyclicClass(enum.Enum):
     ADMITS_NONCYCLIC = "AdmitsNoncyclic"
 
 
-@dataclass(frozen=True)
-class StarlikeSplitting:
+class StarlikeSplitting(_Record):
     """One split: a starlike piece cut off a larger tree.
 
     ``piece`` contains the chosen branch vertex ``center``, its
@@ -43,29 +42,38 @@ class StarlikeSplitting:
     splitting is regular when the target is a leaf of the rest.
     """
 
-    piece: Tree
-    merge_leaf: str
-    target: str
-    regular: bool
-    center: str
-    tentacles: tuple[Tentacle, ...]
+    __slots__ = _fields = ("piece", "merge_leaf", "target", "regular", "center", "tentacles")
+
+    def __init__(self, piece: Tree, merge_leaf: str, target: str, regular: bool, center: str,
+                 tentacles: tuple[Tentacle, ...]) -> None:
+        object.__setattr__(self, "piece", piece)
+        object.__setattr__(self, "merge_leaf", merge_leaf)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "regular", regular)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "tentacles", tentacles)
 
 
-@dataclass(frozen=True)
-class StarlikeDecomposition:
+class StarlikeDecomposition(_Record):
     """Ordered starlike pieces of a tree.
 
     ``pieces[i]`` for i below the number of splittings is the piece of
     ``splittings[i]``; the final piece is what the splittings leave,
     either starlike or a path, and carries no merge leaf.
     ``irregular_count`` is the number of irregular splittings.
-    ``tentacles(i)`` gives piece i's tentacles, read off the pass.
+    ``tentacles(i)`` gives piece i's tentacles, read off the pass; they
+    take no part in ``==``, ``hash`` or ``repr``.
     """
 
-    pieces: tuple[Tree, ...]
-    splittings: tuple[StarlikeSplitting, ...]
-    irregular_count: int
-    _tentacles: tuple[tuple[Tentacle, ...], ...] = field(repr=False, compare=False)
+    __slots__ = ("pieces", "splittings", "irregular_count", "_tentacles")
+    _fields = __slots__[:-1]
+
+    def __init__(self, pieces: tuple[Tree, ...], splittings: tuple[StarlikeSplitting, ...],
+                 irregular_count: int, _tentacles: tuple[tuple[Tentacle, ...], ...]) -> None:
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "splittings", splittings)
+        object.__setattr__(self, "irregular_count", irregular_count)
+        object.__setattr__(self, "_tentacles", _tentacles)
 
     @property
     def last_piece(self) -> Tree:

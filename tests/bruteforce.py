@@ -2,10 +2,12 @@
 
 Each function is a small, obviously-correct (and mostly exponential-time)
 reference implementation; the tests compare library results against these
-on inputs where the brute force is feasible.  Two groups of oracles import
-the package under test.  ``smith_invariant_factors`` keeps the former
-production route for cyclic sums, whose Smith form is itself checked against
-``minor_gcd``.  The starlike quotient oracles (``starlike_summary``,
+on inputs where the brute force is feasible.  Three groups of oracles import
+the package under test.  The dense route (``adjacency_rows``, ``laplacian``,
+``solve_integer``), ``extend_at``, ``count_structures`` and ``exponent``
+were public names of the package that only the tests called.
+``smith_invariant_factors`` keeps the former production route for cyclic
+sums, whose Smith form is itself checked against ``minor_gcd``.  The starlike quotient oracles (``starlike_summary``,
 ``reduce_to_lstar``, ``quotient_strip`` and ``starlike_group``) keep the
 former second route to a starlike critical group: they walk the tentacles
 from the edge list themselves and take from the package only its value types
@@ -81,6 +83,75 @@ def smith_invariant_factors(orders):
     rows = [[x if i == j else 0 for j in range(len(vals))] for i, x in enumerate(vals)]
     diag = smith_normal_form(IntegerMatrix(rows)).diagonal
     return tuple(x for x in diag if x > 1)
+
+
+def adjacency_rows(g):
+    """The adjacency matrix of graph ``g``, multiplicities included, in
+    canonical vertex order."""
+    return [[g.multiplicity(v, w) for w in g.vertices] for v in g.vertices]
+
+
+def laplacian(g, d):
+    """The dense matrix diag(d) - A in canonical vertex order, with the
+    package's checks on d; the package itself never builds it."""
+    from critforge import IntegerMatrix
+    from critforge.arithstruct import _integer, _require_values
+
+    _require_values(g, d, "d")
+    rows = adjacency_rows(g)
+    return IntegerMatrix([
+        [(_integer(d[v], "d", v) if i == j else 0) - x for j, x in enumerate(rows[i])]
+        for i, v in enumerate(g.vertices)
+    ])
+
+
+def solve_integer(m, b):
+    """One integer solution x of m x = b, or None, from m's Smith form."""
+    from critforge import smith_normal_form
+    from critforge.exactlinalg import _solve_smith
+
+    return _solve_smith(smith_normal_form(m), b)
+
+
+def extend_at(g, s, v):
+    """Attach a fresh leaf at ``v`` carrying a copy of its r value.
+
+    The old structure extends: the new leaf gets d = 1 and r = r(v), and
+    d(v) grows by one.  Validity is preserved, which is re-checked.
+    """
+    from critforge import (
+        ArithmeticalStructure, ArithStructError, Graph, Tree, UnknownVertex, fresh_name,
+        validate,
+    )
+
+    if not g.has_vertex(v):
+        raise UnknownVertex(f"no vertex {v!r}")
+    leaf = fresh_name(f"{v}+", g.vertices)
+    adj = {u: dict(g.incident(u)) for u in g.vertices}
+    adj[v][leaf] = 1
+    adj[leaf] = {v: 1}
+    g2 = Tree(adj) if isinstance(g, Tree) else Graph(adj)
+    r2 = dict(s.r)
+    d2 = dict(s.d)
+    r2[leaf] = s.r[v]
+    d2[leaf] = 1
+    d2[v] = s.d[v] + 1
+    s2 = ArithmeticalStructure(graph=g2, r=r2, d=d2)
+    ok, bad = validate(g2, d2, r2)
+    if not ok:
+        raise ArithStructError(f"extension broke the structure: {bad[0]}")
+    return g2, s2
+
+
+def count_structures(t, config=None):
+    from critforge import enumerate_structures
+
+    return len(enumerate_structures(t, config))
+
+
+def exponent(group):
+    """The largest invariant factor of an ``AbelianGroup``, 1 when trivial."""
+    return group.invariant_factors[-1] if group.invariant_factors else 1
 
 
 def max_two_matching(edges):

@@ -10,10 +10,13 @@ import random
 from math import gcd
 
 from bruteforce import (
+    count_structures,
     fire_simulation,
+    laplacian,
     minor_gcd,
     reduce_to_lstar,
     starlike_group,
+    solve_integer,
     starlike_summary,
 )
 from corpus import (
@@ -36,7 +39,6 @@ from critforge import (
     broom_with_group,
     check_merge_additivity,
     clearable,
-    count_structures,
     critical_group,
     determinantal_divisor,
     divisor_degree,
@@ -46,13 +48,11 @@ from critforge import (
     full_divisor,
     invariant_factor_bound,
     iota,
-    laplacian,
     laplacian_structure,
     merge_structures,
     order_in_group,
     realize_on_subdivision,
     smith_normal_form,
-    solve_integer,
     starlike_critical_group,
     structure_from_r,
     tentacles,

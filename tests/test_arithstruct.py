@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import minor_gcd
+from bruteforce import extend_at, laplacian, minor_gcd
 from corpus import (
     all_trees,
     cycle_graph,
@@ -36,8 +36,6 @@ from critforge import (
     build_tree,
     critical_group,
     enumerate_structures,
-    extend_at,
-    laplacian,
     laplacian_structure,
     realize_on_subdivision,
     smith_normal_form,

@@ -11,7 +11,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import fire_simulation, minor_gcd, small_solution
+from bruteforce import fire_simulation, laplacian, minor_gcd, small_solution, solve_integer
 from corpus import (
     adjacency_map,
     count_tentacle_walks,
@@ -49,13 +49,11 @@ from critforge import (
     full_divisor,
     invariant_factor_bound,
     iota,
-    laplacian,
     laplacian_structure,
     order_in_group,
     realize_on_subdivision,
     reduce_support,
     smith_normal_form,
-    solve_integer,
     sweep_tentacle,
     starlike_decomposition,
     structure_from_r,
@@ -454,7 +452,7 @@ def test_clearable_agrees_with_minors_and_simulation():
     exhibits firing vectors that clear each unit pile, replayed through
     plain chip arithmetic.
     """
-    from critforge import IntegerMatrix, solve_integer
+    from critforge import IntegerMatrix
 
     for g, d in _clearable_cases():
         verts = list(g.vertices)
@@ -629,11 +627,8 @@ def test_divisor_queries_build_no_dense_laplacian(monkeypatch):
         sides.append(max(m.shape))
         return smith(m)
 
-    def refuse(*args):
-        raise AssertionError("a divisor query built the dense n x n matrix")
-
-    for mod in (chipfiring, arithstruct):
-        monkeypatch.setattr(mod, "laplacian", refuse, raising=False)
+    # the package has no dense diag(d) - A builder; a dense route would
+    # show here as a Smith form of side n
     for mod in (arithstruct, exactlinalg):
         monkeypatch.setattr(mod, "smith_normal_form", recording_smith)
     delta = degree_zero_divisor(rng, t, s)

@@ -17,12 +17,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bruteforce import extend_at, laplacian
 from corpus import random_name_tree
 import critforge
 from critforge import (
-    ArithmeticalStructure, cli, extend_at, fire, full_divisor, mergestar, treedecomp,
+    ArithmeticalStructure, cli, fire, full_divisor, mergestar, treedecomp,
 )
-from critforge.arithstruct import laplacian
 from critforge.cli import fixture_path, load_document, run
 from critforge.graphcore import Graph
 
@@ -514,6 +514,22 @@ def test_module_entry_point_matches_run(capsys):
                           capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout) == want
+
+
+def test_importing_the_cli_loads_no_introspection_or_resource_modules():
+    """``dataclasses`` (with the ``inspect``, ``ast``, ``dis`` and ``tokenize``
+    it loads) and ``importlib.resources`` would add to every CLI start.
+    ``-S`` keeps site packages from loading any of them first, and ``-B``
+    keeps the run from writing bytecode, which ``-I`` would otherwise allow."""
+    src = str(Path(critforge.__file__).resolve().parents[1])
+    banned = ["dataclasses", "inspect", "ast", "dis", "tokenize", "importlib.resources"]
+    code = (f"import sys; sys.path.insert(0, {src!r}); import critforge.cli; "
+            "print(*sorted(set(sys.argv[1:]) & set(sys.modules)))")
+    flags = ["-O"] * sys.flags.optimize + ["-I", "-S", "-B"]
+    proc = subprocess.run([sys.executable, *flags, "-c", code, *banned],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == []
 
 
 @pytest.mark.parametrize("prongs", ["0", "-2"])

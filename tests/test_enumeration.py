@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from bruteforce import arithmetical_r_vectors
+from bruteforce import arithmetical_r_vectors, count_structures
 from corpus import (
     adjacency_map,
     all_trees,
@@ -21,7 +21,6 @@ from critforge import (
     NotATree,
     TreeTooLarge,
     build_graph,
-    count_structures,
     cyclic_classification,
     CyclicClass,
     critical_group,

@@ -8,6 +8,7 @@ import pytest
 
 import bruteforce
 from bruteforce import (
+    laplacian,
     reduce_to_lstar,
     smith_invariant_factors,
     starlike_group,
@@ -36,7 +37,6 @@ from critforge import (
     critical_group,
     enumerate_structures,
     group_from_orders,
-    laplacian,
     laplacian_structure,
     merge_structures,
     smith_normal_form,
